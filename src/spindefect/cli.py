@@ -31,6 +31,7 @@ from .obstruction import (
 from .plumbing import (
     PlumbingGraph,
     WuVector,
+    _tree_inertia,
     graph_from_json,
     graph_to_json,
     intersection_matrix,
@@ -81,6 +82,8 @@ def _shape_from_args(args) -> FourManifoldShape:
 def _lens_from_args(args) -> LensSpace:
     p, q = args.lens
     eps = args.eps
+    if p == 0:
+        raise ValueError("p must be nonzero")
     if eps is None:
         if p % 2 == 0:
             raise ValueError("p is even: pick a structure with --eps +1 or -1")
@@ -208,7 +211,7 @@ def cmd_plumbing(args) -> int:
         vectors = [w_file]
     else:
         vectors = wu_solutions(g)
-    plus, minus, zero = signature(intersection_matrix(g))
+    plus, minus, zero = _tree_inertia(g)
     lines = [
         f"vertices: {len(g)}, edges: {len(g.edges)}",
         f"signature: (b+ = {plus}, b- = {minus}, b0 = {zero}), sign = {plus - minus}",
@@ -240,7 +243,7 @@ def cmd_seifert_to_plumbing(args) -> int:
         g, w = seifert_to_plumbing(s, c)
         source = {"seifert": _fmt_seifert(s), "spin": _fmt_spin(c)}
         label = _fmt_seifert(s)
-    plus, minus, zero = signature(intersection_matrix(g))
+    plus, minus, zero = _tree_inertia(g)
     d = plumbing_delta(g, w)
     lines = [
         f"spin plumbing for {label}: {len(g)} vertices",

@@ -146,6 +146,8 @@ def definite_filling_signature(delta_s: int, scan_limit: int = 64) -> DefiniteFo
     the regime the first surviving shape is reported as the counterexample
     witnessing that the criterion says nothing.
     """
+    if scan_limit < 0:
+        raise ValueError(f"scan_limit must be >= 0, got {scan_limit}")
     forced = abs(delta_s) <= 18
     counterexample = None
     for b in range(scan_limit + 1):

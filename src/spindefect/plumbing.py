@@ -14,8 +14,14 @@ the closed-form catalog and the torus-splitting engine.  ``blow_down``
 removes a +-1 vertex; the multiset of defects over all Wu vectors is
 invariant under it, which is how the routine is tested.
 
-All signature work is exact (rational congruent diagonalization); nothing
-here touches floating point.
+The signature of a tree is found in linear time by eliminating vertices from
+the leaves to the root: each vertex's effective weight is its weight minus
+the reciprocals of its children's effective weights, a continued fraction
+over its subtree (Neumann's plumbing calculus, Trans. AMS 268, 1981).  A tree
+has no fill-in, so nothing else changes as a vertex goes.  The dense
+rational congruent diagonalization ``signature`` stays as the reference it
+is tested against.  All signature work is exact; nothing here touches
+floating point.
 """
 
 from __future__ import annotations
@@ -75,13 +81,14 @@ class PlumbingGraph:
             raise ValueError("duplicate edges")
         if vertices and len(norm) != len(vertices) - 1:
             raise ValueError("not a tree: |edges| != |vertices| - 1")
+        edges = tuple(sorted(norm))
+        adj = {i: [] for i in ids}
+        for i, j in edges:
+            adj[i].append(j)
+            adj[j].append(i)
         if vertices:
             seen = {ids[0]}
             frontier = [ids[0]]
-            adj = {i: [] for i in ids}
-            for i, j in norm:
-                adj[i].append(j)
-                adj[j].append(i)
             while frontier:
                 v = frontier.pop()
                 for u in adj[v]:
@@ -91,7 +98,11 @@ class PlumbingGraph:
             if seen != idset:
                 raise ValueError("not a tree: graph is disconnected")
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(sorted(set(norm))))
+        object.__setattr__(self, "edges", edges)
+        # lookup maps, not dataclass fields: they stay out of == and hash;
+        # sorted edges list each vertex's neighbours in ascending order
+        object.__setattr__(self, "_weight", dict(vertices))
+        object.__setattr__(self, "_adj", {i: tuple(nb) for i, nb in adj.items()})
 
     def __len__(self):
         return len(self.vertices)
@@ -101,18 +112,13 @@ class PlumbingGraph:
         return tuple(i for i, _ in self.vertices)
 
     def weight(self, v: int) -> int:
-        for i, w in self.vertices:
-            if i == v:
-                return w
-        raise KeyError(v)
+        return self._weight[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if v not in set(self.ids):
-            raise KeyError(v)
-        return tuple(j if i == v else i for i, j in self.edges if v in (i, j))
+        return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self._adj[v])
 
 
 @dataclass(frozen=True)
@@ -125,10 +131,13 @@ class WuVector:
         object.__setattr__(self, "support", frozenset(int(v) for v in support))
 
     def as_bits(self, g: PlumbingGraph) -> tuple[int, ...]:
-        unknown = self.support - set(g.ids)
+        self._check_in(g)
+        return tuple(1 if i in self.support else 0 for i in g.ids)
+
+    def _check_in(self, g: PlumbingGraph) -> None:
+        unknown = self.support.difference(g._weight)
         if unknown:
             raise ValueError(f"Wu support {sorted(unknown)} not in the graph")
-        return tuple(1 if i in self.support else 0 for i in g.ids)
 
 
 def intersection_matrix(g: PlumbingGraph) -> list[list[int]]:
@@ -210,7 +219,7 @@ def _gf2_solve(g: PlumbingGraph):
     rows = []
     for k, (v, w) in enumerate(g.vertices):
         mask = (w & 1) << k  # diagonal contributes only for odd weight
-        for u in g.neighbors(v):
+        for u in g._adj[v]:
             mask |= 1 << index[u]
         rows.append((mask, w & 1))
     pivots = {}  # column -> reduced row
@@ -276,20 +285,86 @@ def wu_solutions(g: PlumbingGraph) -> list[WuVector]:
 
 
 def _is_wu(g: PlumbingGraph, w: WuVector) -> bool:
-    bits = w.as_bits(g)
-    m = intersection_matrix(g)
-    n = len(g)
-    return all(
-        (sum(m[i][j] * bits[j] for j in range(n)) - m[i][i]) % 2 == 0
-        for i in range(n)
-    )
+    """Whether (M w)_v = M_vv mod 2 at every vertex v, read off the tree.
+
+    (M w)_v is w_v M_vv plus the number of support neighbours of v, so the
+    condition is that this count has the parity of M_vv when v is outside
+    the support, and is even when v is in it.
+    """
+    w._check_in(g)
+    support = w.support
+    for v, wt in g.vertices:
+        odd = 0 if v in support else wt & 1
+        for u in g._adj[v]:
+            if u in support:
+                odd ^= 1
+        if odd:
+            return False
+    return True
+
+
+def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
+    """Inertia (n_plus, n_minus, n_zero) of the intersection form of a tree.
+
+    Linear time, exact, no recursion.  Vertices are eliminated from the
+    leaves to the root (the first vertex); each vertex's effective weight is
+    its weight minus the reciprocals of its children's nonzero effective
+    weights, and its sign is one diagonal entry.  The effective weight is
+    kept as an unreduced integer ratio num/den: as long as no zero turns up
+    below v these are det(subtree of v) and det(subtree of v minus v), so
+    they grow no faster than the determinants.
+
+    A child with effective weight 0 is a vertex whose only link is the
+    edge to its parent.  With the parent it splits off a hyperbolic
+    (+1, -1) block, and clearing the parent's other entries with it changes
+    nothing else, so the parent is removed and contributes nothing to its
+    own parent.  Any further zero child of that parent is then isolated and
+    adds one to n_zero.
+    """
+    if not g.vertices:
+        return 0, 0, 0
+    adj = g._adj
+    root = g.vertices[0][0]
+    parent = {root: None}
+    order = [root]
+    for v in order:  # breadth first: every vertex after its parent
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    num = dict(g._weight)
+    den = dict.fromkeys(num, 1)
+    zero_children = dict.fromkeys(num, 0)
+    plus = minus = zero = 0
+    for v in reversed(order):
+        if zero_children[v]:
+            plus += 1
+            minus += 1
+            zero += zero_children[v] - 1
+            continue
+        a, b, up = num[v], den[v], parent[v]
+        if a == 0:
+            if up is None:
+                zero += 1
+            else:
+                zero_children[up] += 1
+            continue
+        if (a > 0) == (b > 0):
+            plus += 1
+        else:
+            minus += 1
+        if up is not None:
+            # eff(up) -= 1 / (a / b)
+            num[up] = num[up] * a - den[up] * b
+            den[up] *= a
+    return plus, minus, zero
 
 
 def plumbing_delta(g: PlumbingGraph, w: WuVector) -> int:
     """sign(M) - w.M.w for a Wu vector w (integer 0/1 lift)."""
     if not _is_wu(g, w):
         raise ValueError(f"{sorted(w.support)} is not a Wu vector of the graph")
-    plus, minus, _ = signature(intersection_matrix(g))
+    plus, minus, _ = _tree_inertia(g)
     self_pairing = sum(g.weight(v) for v in w.support)
     # distinct support vertices joined by an edge would add cross terms,
     # but Wu non-adjacency (asserted in wu_solutions) rules that out
@@ -444,14 +519,34 @@ def graph_to_json(g: PlumbingGraph, w: WuVector | None = None) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(doc: dict) -> tuple[PlumbingGraph, WuVector | None]:
+    """Read the form written by ``graph_to_json``; ValueError on any other shape."""
+    if not isinstance(doc, dict):
+        raise ValueError("graph JSON must be an object")
+    vertices = doc.get("vertices")
+    if not isinstance(vertices, list) or not all(
+        isinstance(v, dict) and _is_int(v.get("id")) and _is_int(v.get("weight"))
+        for v in vertices
+    ):
+        raise ValueError('"vertices" must be a list of {"id": int, "weight": int}')
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+    ):
+        raise ValueError('"edges" must be a list of [int, int] pairs')
     g = PlumbingGraph(
-        [(v["id"], v["weight"]) for v in doc["vertices"]],
-        [tuple(e) for e in doc.get("edges", [])],
+        [(v["id"], v["weight"]) for v in vertices],
+        [tuple(e) for e in edges],
     )
     w = None
     if "wu" in doc:
         bits = doc["wu"]
+        if not isinstance(bits, list) or not all(_is_int(b) and b in (0, 1) for b in bits):
+            raise ValueError('"wu" must be a list of 0/1')
         if len(bits) != len(g):
             raise ValueError("wu vector length does not match vertex count")
         w = WuVector(i for (i, _), b in zip(g.vertices, bits) if b)

@@ -169,37 +169,40 @@ def sigma(q: int, p: int, eps: int) -> int:
 
 
 def _sigma(q: int, p: int, e: int) -> int:
+    # Invariant: the answer is offset + sign * sigma(q, p, e) for the current
+    # (q, p, e).  Only the reciprocity extension goes round the loop: it swaps
+    # the pair once per step of an odd Euclidean chain, which can be long
+    # (p, p - 2, ...), so it must not recurse.
+    offset, sign = 0, 1
     if p < 0:
-        return -_sigma(q, -p, e)
-    if p == 1:
-        return 0
-    s = 1
-    if q < 0:
-        q, s = -q, -s
-    q %= 2 * p  # even multiple of p: eps unchanged
-    if q > p:
-        q, s = 2 * p - q, -s  # q -> -q mod 2p, another sign flip
-    # now 0 < q < p and the pair is still coprime
-    if (p + q) % 2 == 1:
-        if e == -1:
-            return -s * _cf_sign_sum(p, q)
-        if p % 2 == 0:
-            # shift q by p (eps -> -1), then reciprocity + expansion of (q+p)/p
-            return s * (_cf_sign_sum(q + p, p) - 1)
-        # p odd, q even, eps = +1 is not a spin sign; shift into the
-        # same-parity pocket and use the reciprocity extension there.
-        return -s * _sigma_ext(p - q, p)
-    if e == 1:
-        # both odd; one shift lands on (q+p even, eps=-1) with q+p > p,
-        # so reciprocity applies directly
-        return s * (_cf_sign_sum(q + p, p) - 1)
-    return s * _sigma_ext(q, p)
-
-
-def _sigma_ext(q: int, p: int) -> int:
-    # both odd, 0 < q < p, eps = -1: not reachable by the defining rules;
-    # extend reciprocity sigma(q,p,-1) + sigma(p,q,-1) = -1 as the definition
-    return -1 - _sigma(p, q, -1)
+        p, sign = -p, -1
+    while True:
+        if p == 1:
+            return offset
+        s = sign
+        if q < 0:
+            q, s = -q, -s
+        q %= 2 * p  # even multiple of p: eps unchanged
+        if q > p:
+            q, s = 2 * p - q, -s  # q -> -q mod 2p, another sign flip
+        # now 0 < q < p and the pair is still coprime
+        if (p + q) % 2 == 1:
+            if e == -1:
+                return offset - s * _cf_sign_sum(p, q)
+            if p % 2 == 0:
+                # shift q by p (eps -> -1), then reciprocity + expansion of (q+p)/p
+                return offset + s * (_cf_sign_sum(q + p, p) - 1)
+            # p odd, q even, eps = +1 is not a spin sign; shift into the
+            # same-parity pocket and use the reciprocity extension there.
+            q, s = p - q, -s
+        elif e == 1:
+            # both odd; one shift lands on (q+p even, eps=-1) with q+p > p,
+            # so reciprocity applies directly
+            return offset + s * (_cf_sign_sum(q + p, p) - 1)
+        # both odd, 0 < q < p, eps = -1: not reachable by the defining rules;
+        # extend reciprocity sigma(q,p,-1) + sigma(p,q,-1) = -1 as the definition
+        offset, sign = offset - s, -s
+        q, p, e = p, q, -1
 
 
 def _cf_sign_sum(p: int, q: int) -> int:

@@ -195,6 +195,45 @@ def test_plumbing_graph_file_and_stdin(capsys, tmp_path, monkeypatch):
     assert rc == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", ['{"vertices":[{"id":0}]}', "[1,2]"])
+def test_plumbing_graph_of_the_wrong_shape_exits_2(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run(capsys, "plumbing", "--graph", "-")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_definite_rejects_a_negative_scan_limit(capsys):
+    rc, out, err = run(capsys, "definite", "--delta", "4", "--scan-limit", "-1")
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
+def test_delta_rejects_lens_p_zero(capsys):
+    rc, out, err = run(capsys, "delta", "--lens", "0", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: p must be nonzero\n"
+
+
+def test_plumbing_text_verbatim(capsys):
+    # zero weights: the tree signature takes its hyperbolic branch
+    rc, out, _ = run(capsys, "plumbing", "--star", "(0; 0; 0; 1,2)")
+    assert rc == 0
+    assert out == (
+        "vertices: 5, edges: 4\n"
+        "signature: (b+ = 3, b- = 1, b0 = 1), sign = 2\n"
+        "wu support [1, 2, 4] -> delta = 0\n"
+        "wu support [4] -> delta = 0\n"
+    )
+    rc, out, _ = run(capsys, "seifert-to-plumbing",
+                     "--seifert", "(2,1),(3,1),(5,-4)", "--spin", "1,1,0")
+    assert rc == 0
+    assert out == (
+        "spin plumbing for (2,1),(3,1),(5,-4): 8 vertices\n"
+        "weights: -2, -2, -2, -2, -2, -2, -2, -2\n"
+        "signature: (b+ = 0, b- = 8, b0 = 0); delta = -8\n"
+    )
+
+
 def test_seifert_to_plumbing_matches_library(capsys):
     rc, doc, _ = run_json(capsys, "seifert-to-plumbing",
                           "--seifert", "(2,1),(3,1),(5,-4)", "--spin", "1,1,0")

@@ -104,6 +104,8 @@ def test_definite_scan_is_verified_not_quoted():
     # a defect far outside the window has an explicit survivor
     res = definite_filling_signature(26)
     assert res.counterexample == FourManifoldShape(10, 0, 10)
+    with pytest.raises(ValueError):
+        definite_filling_signature(4, scan_limit=-1)  # would scan nothing
 
 
 def test_cobordism_certificates():

@@ -1,16 +1,22 @@
 import json
 import math
 import random
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spindefect
 from spindefect.catalog import delta, instantiate_case, iter_cases
 from spindefect.errors import NoSpinForm
 from spindefect.plumbing import (
     PlumbingGraph,
     WuVector,
+    _is_wu,
+    _tree_inertia,
     blow_down,
     chain_graph,
     graph_from_json,
@@ -46,6 +52,20 @@ def test_graph_validation():
     assert g.weight(1) == -3
     assert g.neighbors(1) == (0, 2)
     assert g.degree(0) == 1
+    for lookup in (g.weight, g.neighbors, g.degree):
+        with pytest.raises(KeyError):
+            lookup(7)
+
+
+def test_lookup_maps_stay_out_of_equality():
+    vertices = [(5, -2), (3, 1), (9, 0), (1, -4)]
+    g = PlumbingGraph(vertices, [(3, 5), (9, 3), (1, 3)])
+    h = PlumbingGraph(vertices, [(1, 3), (5, 3), (3, 9)])
+    assert g == h and hash(g) == hash(h)
+    assert "_adj" not in repr(g)
+    # neighbours come in sorted-edge order, whatever order the edges came in
+    assert g.neighbors(3) == h.neighbors(3) == (1, 5, 9)
+    assert g.weight(9) == 0 and g.degree(3) == 3
 
 
 def test_intersection_matrix_fixtures():
@@ -83,6 +103,59 @@ def test_signature_against_eigenvalue_counts():
         plus = int(np.sum(eigs > 1e-7))
         minus = int(np.sum(eigs < -1e-7))
         assert signature(m) == (plus, minus, n - plus - minus), m
+
+
+@st.composite
+def random_trees(draw, max_vertices=14):
+    """Trees of up to max_vertices with weights in [-3, 3] and shuffled ids."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    ids = draw(st.permutations(range(n)))
+    return PlumbingGraph(
+        [(ids[i], w) for i, w in enumerate(weights)],
+        [(ids[p], ids[i]) for i, p in enumerate(parents, start=1)],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_trees())
+def test_tree_inertia_matches_dense_signature(g):
+    # weight 0 makes zero effective weights common: the hyperbolic branch
+    assert _tree_inertia(g) == signature(intersection_matrix(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_trees(), st.data())
+def test_local_wu_check_matches_dense_product(g, data):
+    support = data.draw(st.sets(st.sampled_from(g.ids)))
+    m = intersection_matrix(g)
+    bits = WuVector(support).as_bits(g)
+    dense = all(
+        (sum(m[i][j] * bits[j] for j in range(len(g))) - m[i][i]) % 2 == 0
+        for i in range(len(g))
+    )
+    assert _is_wu(g, WuVector(support)) == dense
+    for w in wu_solutions(g):
+        assert _is_wu(g, w)
+
+
+def test_tree_inertia_fixtures():
+    assert _tree_inertia(PlumbingGraph([], [])) == (0, 0, 0)
+    assert _tree_inertia(PlumbingGraph([(0, 0)])) == (0, 0, 1)
+    assert _tree_inertia(E8) == (0, 8, 0)
+    # a center of weight 0 with three leaves of weight 0: one hyperbolic
+    # pair, the other two leaves isolated
+    assert _tree_inertia(star_graph(0, [(0,), (0,), (0,)])) == (1, 1, 2)
+    # the hyperbolic pair's parent drops out; the root keeps its weight
+    assert _tree_inertia(chain_graph([5, 3, 0])) == (2, 1, 0)
+
+
+def test_ten_thousand_vertex_chain_matches_sigma():
+    lens = LensSpace(10001, 10000, -1)
+    g, w = seifert_to_plumbing(lens)
+    assert len(g) == 10000
+    assert plumbing_delta(g, w) == sigma(10000, 10001, -1)
 
 
 def test_wu_solutions_fixtures():
@@ -141,6 +214,9 @@ def test_blow_down_preserves_the_defect_multiset():
         chain_graph([1, -1, 1, 2]),
         star_graph(1, [(-2,), (-2,), (2, 1)]),
         PlumbingGraph([(0, -1)]),
+        # 60 vertices, four Wu vectors, 36 vertices of weight +-1
+        star_graph(-2, [(-2, 1, -1, -2) * 5, (1, 1, -2) * 6 + (1, 1),
+                        (-2, -1, -1) * 6 + (-2,)]),
     ]
     for g in graphs:
         for v, wt in g.vertices:
@@ -269,3 +345,35 @@ def test_json_roundtrip():
     assert g3 == g and w3 is None
     with pytest.raises(ValueError):
         graph_from_json({"vertices": [{"id": 0, "weight": 2}], "edges": [], "wu": [1, 0]})
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    "graph",
+    {},
+    {"vertices": {"id": 0, "weight": 2}},
+    {"vertices": [{"id": 0}]},
+    {"vertices": [{"weight": 2}]},
+    {"vertices": [[0, 2]]},
+    {"vertices": [{"id": "0", "weight": 2}]},
+    {"vertices": [{"id": 0, "weight": 2.5}]},
+    {"vertices": [{"id": True, "weight": 2}]},
+    {"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": [[0]]},
+    {"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": [[[0], 1]]},
+    {"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": {"0": 1}},
+    {"vertices": [{"id": 0, "weight": 2}], "wu": [2]},
+    {"vertices": [{"id": 0, "weight": 2}], "wu": "0"},
+])
+def test_graph_from_json_rejects_bad_shapes(doc):
+    with pytest.raises(ValueError):
+        graph_from_json(doc)
+
+
+def test_package_exports_every_public_name():
+    public = {
+        name for name in dir(spindefect)
+        if not name.startswith("_")
+        and not isinstance(getattr(spindefect, name), types.ModuleType)
+    }
+    assert public == set(spindefect.__all__)
+    assert "wu_solutions" in spindefect.__all__

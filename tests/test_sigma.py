@@ -237,3 +237,22 @@ def test_sign_sum_rule():
         if (p + q) % 2 == 1:
             entries = even_cf_expand(p, q)
             assert sigma(q, p, -1) == -sum(sgn(a) for a in entries)
+
+
+def test_long_odd_chain_on_the_non_spin_sign():
+    # (4963, 4965) runs the odd Euclidean chain 4965 -> 4963 -> 4961 -> ...
+    # for about 2,500 steps; values pinned from an unbounded-depth evaluation
+    assert sigma(4963, 4965, -1) == -2482
+    assert sigma(2, 4965, 1) == 2482
+    assert sigma(9999, 10001, -1) == -5000
+    assert sigma(19997, 20001, -1) == -5000
+
+
+@pytest.mark.parametrize("q,p", [
+    (4963, 4965), (9999, 10001), (19997, 20001), (99997, 99999), (33331, 99999),
+])
+def test_extended_reciprocity_on_long_odd_chains(q, p):
+    assert math.gcd(p, q) == 1 and p % 2 == q % 2 == 1
+    assert sigma(q, p, -1) + sigma(p, q, -1) == -1
+    # the shift and sign rules still hold along the chain
+    assert sigma(q + 2 * p, p, -1) == sigma(q, p, -1) == -sigma(-q, p, -1)
