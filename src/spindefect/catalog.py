@@ -26,7 +26,6 @@ from typing import Mapping
 
 from .errors import (
     InternalDisagreement,
-    NoAdmissibleRearrangement,
     NoSpinForm,
     UnrecognizedForm,
 )
@@ -327,7 +326,7 @@ def delta_table(case: DeltaCaseId) -> int:
     return row.delta
 
 
-def delta(s, c=None, *, cross_check: bool = True) -> int:
+def delta(s, c=None) -> int:
     """delta(S, c) for a lens space or a three-fiber spherical form.
 
     Lens spaces go straight to the lens defect.  Three-fiber data is
@@ -347,16 +346,12 @@ def delta(s, c=None, *, cross_check: bool = True) -> int:
     value = delta_table(case)
     if case.orientation_reversed:
         value = -value
-    if cross_check:
-        try:
-            engine = delta_engine(s, c)
-        except NoAdmissibleRearrangement:
-            engine = None
-        if engine is not None and engine != value:
-            raise InternalDisagreement(
-                f"table row ({case.row}) gives {value} but the splitting "
-                f"engine gives {engine} on {s.pairs} / {c.cg}"
-            )
+    engine = delta_engine(s, c)
+    if engine != value:
+        raise InternalDisagreement(
+            f"table row ({case.row}) gives {value} but the splitting "
+            f"engine gives {engine} on {s.pairs} / {c.cg}"
+        )
     return value
 
 

@@ -4,8 +4,7 @@ Exit codes are scriptable: 0 = computed, 1 = the mathematics returned an
 exclusion/obstruction (infeasible filling, excluded embedding, infinite
 cobordism order, selftest failure), 2 = input error.  ``--json`` switches any
 subcommand to a machine-readable report that echoes its input, so reports
-can be round-tripped.  The rearrangement search bound of the defect engine
-honors $SPINDEFECT_SEARCH_BOUND (default 6).
+can be round-tripped.
 """
 
 from __future__ import annotations
@@ -206,6 +205,8 @@ def cmd_plumbing(args) -> int:
         bits = [int(tok) for tok in args.wu.split(",") if tok != ""]
         if len(bits) != len(g):
             raise ValueError(f"--wu needs {len(g)} bits")
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError("--wu bits must be 0 or 1")
         vectors = [WuVector(i for (i, _), b in zip(g.vertices, bits) if b)]
     elif w_file is not None:
         vectors = [w_file]

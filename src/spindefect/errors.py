@@ -20,8 +20,8 @@ class UnrecognizedForm(SpinDefectError, ValueError):
 
 
 class NoAdmissibleRearrangement(SpinDefectError):
-    """No fiber permutation/shift within the search bound meets the defect
-    engine's normalization conditions."""
+    """The defect engine cannot split the data: every fiber multiplicity is
+    odd, so no presentation meets its normalization conditions."""
 
 
 class DegenerateEuler(SpinDefectError, ValueError):

@@ -11,19 +11,21 @@ fiber class and one bit c(g_i) per singular fiber, subject to
     a_i c(g_i) + b_i c(h) = a_i b_i      (mod 2)   for each i,
     sum_i c(g_i)          = 0            (mod 2).
 
-``delta_engine`` evaluates the spin defect delta(S, c) for any such space
-with at least one even a_i (every spherical space form with three singular
-fibers has one): rearrange the data so the third fiber can be split off,
-split off a lens-space piece from the first two, and add up lens defects.
-The labelling is transported through shifts formally, without re-checking
-the constraints, so the engine is usable on raw (a, b, c) triples too.
+``delta_engine`` evaluates the spin defect delta(S, c) for any spin
+labelling of a three-fiber space with at least one even a_i (every
+spherical space form with three singular fibers has one).  It puts a fiber
+labelled 0 in the third slot, repairs a vanishing b_3 or a_1 b_2 + a_2 b_1
+with one even coefficient shift, splits a lens-space piece off the first
+two fibers, and adds up lens defects.  The arrangement is read off the
+labels, independently of the catalog's normalization.  ``shift_move``
+transports labels formally, without re-checking the constraints, so it is
+usable on raw (a, b, c) triples too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,12 +45,7 @@ __all__ = [
     "delta_engine",
     "parse_seifert",
     "parse_spin",
-    "DEFAULT_SEARCH_BOUND",
 ]
-
-#: widest coefficient shift tried when hunting for a usable rearrangement;
-#: override per-call or via SPINDEFECT_SEARCH_BOUND
-DEFAULT_SEARCH_BOUND = 6
 
 
 @dataclass(frozen=True)
@@ -216,13 +213,6 @@ class LensSpace:
 # the engine
 
 
-def _search_bound(bound) -> int:
-    if bound is not None:
-        return int(bound)
-    env = os.environ.get("SPINDEFECT_SEARCH_BOUND")
-    return int(env) if env else DEFAULT_SEARCH_BOUND
-
-
 def _engine_value(pairs, cg, ch, u1, v1) -> Fraction:
     (a1, b1), (a2, b2), (a3, b3) = pairs
     q_split = a1 * b2 + a2 * b1
@@ -237,44 +227,40 @@ def _engine_value(pairs, cg, ch, u1, v1) -> Fraction:
     return sgn(s0) + sigma(p_split, q_split, eps) + sigma(a3, b3, -1)
 
 
-def _usable(pairs, cg) -> bool:
-    (a1, b1), (a2, b2), (_, b3) = pairs
-    if cg[2] % 2 != 0:
-        return False
-    if (cg[0] + cg[1]) % 2 != 0:
-        return False
+def _arrangement(s: SeifertData, c: SpinAssignment) -> tuple[SeifertData, SpinAssignment]:
+    """A presentation the splitting engine can use, for a spin labelling.
+
+    A spin labelling has an even label sum, so some fiber has label 0 and
+    the other two labels agree; the first such fiber goes to slot 3 and the
+    other two keep their order.  Even shifts leave every label alone
+    (c(h) = 0 here) and repair a vanishing b_3 or a_1 b_2 + a_2 b_1.  The
+    two cannot vanish together: that would make e = -b_3/a_3 = 0.
+    """
+    third = c.cg.index(0)
+    s, c = permute_fibers(s, c, [i for i in range(3) if i != third] + [third])
+    (a1, b1), (a2, b2), (a3, b3) = s.pairs
+    if b3 == 0:
+        # (0, k, -k) moves a1 b2 + a2 b1 by -k a1 a2; pick the k that keeps it nonzero
+        k = 2 if a1 * b2 + a2 * b1 != 2 * a1 * a2 else -2
+        return shift_move(s, c, (0, k, -k))
     if a1 * b2 + a2 * b1 == 0:
-        return False
-    return b3 != 0
+        # (k, 0, -k) moves b3 by k a3 and makes a1 b2 + a2 b1 = -k a1 a2
+        k = 2 if b3 != -2 * a3 else -2
+        return shift_move(s, c, (k, 0, -k))
+    return s, c
 
 
-def _rearrangements(s, c, bound):
-    # permutations first, then shift vectors in ball order, so small shifts win
-    shift_vectors = sorted(
-        (
-            (k1, k2, -(k1 + k2))
-            for k1 in range(-bound, bound + 1)
-            for k2 in range(-bound, bound + 1)
-            if abs(k1 + k2) <= bound
-        ),
-        key=lambda v: (sum(abs(x) for x in v), v),
-    )
-    for perm in itertools.permutations(range(3)):
-        sp, cp = permute_fibers(s, c, perm)
-        for ks in shift_vectors:
-            yield shift_move(sp, cp, ks)
+def delta_engine(s: SeifertData, c: SpinAssignment) -> int:
+    """delta(S, c) for a three-fiber space with a spin labelling, by torus splitting.
 
-
-def delta_engine(s: SeifertData, c: SpinAssignment, bound: int | None = None) -> int:
-    """delta(S, c) for a three-fiber space, by torus splitting.
-
-    Searches permutations and coefficient shifts (|k_i| <= bound, default
-    ``DEFAULT_SEARCH_BOUND`` or $SPINDEFECT_SEARCH_BOUND) for a presentation
-    with c(g_3) = 0, c(g_1) + c(g_2) = 0, a_1 b_2 + a_2 b_1 != 0 and
-    b_3 != 0.  Splitting along a vertical torus then writes the space as a
-    union of two lens-space pieces glued to the third fiber's solid torus,
-    and the defect is the sign of the section self-pairing plus two lens
-    defects.  The labelling is taken at face value (see ``shift_move``).
+    The data is first put in a presentation with c(g_3) = 0,
+    c(g_1) = c(g_2), a_1 b_2 + a_2 b_1 != 0 and b_3 != 0, chosen directly
+    from the labels (see ``_arrangement``).  Splitting along a vertical
+    torus then writes the space as a union of two lens-space pieces glued
+    to the third fiber's solid torus, and the defect is the sign of the
+    section self-pairing plus two lens defects.  Raises
+    NoAdmissibleRearrangement when every multiplicity is odd and
+    NoSpinForm when the labels are not a spin structure.
     """
     if len(s) != 3:
         raise ValueError("the splitting engine needs exactly three fiber pairs")
@@ -284,23 +270,17 @@ def delta_engine(s: SeifertData, c: SpinAssignment, bound: int | None = None) ->
         raise NoAdmissibleRearrangement(
             "splitting needs an even multiplicity among the a_i"
         )
-    bound = _search_bound(bound)
-    for sp, cp in _rearrangements(s, c, bound):
-        pairs = sp.pairs
-        if not _usable(pairs, cp.cg):
-            continue
-        a1, b1 = pairs[0]
-        # a1 v1 - b1 u1 = 1 via the extended Euclidean identity
-        g, x, y = _egcd(a1, b1)
-        assert g == 1
-        v1, u1 = x, -y
-        value = _engine_value(pairs, cp.cg, cp.ch, u1, v1)
-        assert value.denominator == 1, f"non-integral defect {value} from {pairs}"
-        return int(value)
-    raise NoAdmissibleRearrangement(
-        f"no usable rearrangement of {s.pairs} with labels {c.cg} "
-        f"within shift bound {bound}"
-    )
+    if not spin_conditions_hold(s, c):
+        raise NoSpinForm(f"labels {c.cg};{c.ch} are not a spin structure on {s.pairs}")
+    sp, cp = _arrangement(s, c)
+    a1, b1 = sp.pairs[0]
+    # a1 v1 - b1 u1 = 1 via the extended Euclidean identity
+    g, x, y = _egcd(a1, b1)
+    assert g == 1
+    v1, u1 = x, -y
+    value = _engine_value(sp.pairs, cp.cg, cp.ch, u1, v1)
+    assert value.denominator == 1, f"non-integral defect {value} from {sp.pairs}"
+    return int(value)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:

@@ -1,5 +1,8 @@
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spindefect.catalog import (
@@ -16,10 +19,12 @@ from spindefect.catalog import (
     iter_cases,
 )
 from spindefect.errors import NoSpinForm, UnrecognizedForm
+from spindefect.plumbing import plumbing_delta, seifert_to_plumbing
 from spindefect.seifert import (
     LensSpace,
     SeifertData,
     SpinAssignment,
+    delta_engine,
     permute_fibers,
     reverse_orientation,
     shift_move,
@@ -205,3 +210,41 @@ def test_delta_cross_check_never_disagrees(case, salt):
     if salt:
         s, c = permute_fibers(s, c, ((salt % 3, (salt + 1) % 3, (salt + 2) % 3)))
     assert isinstance(delta(s, c), int)
+
+
+@st.composite
+def _spherical_data(draw):
+    # three-fiber spherical data drawn directly, not through the catalog
+    kind = draw(st.sampled_from(["D", 3, 4, 5]))
+    if kind == "D":
+        mults = (2, 2, draw(st.integers(min_value=2, max_value=30)))
+    else:
+        mults = (2, 3, kind)
+    pairs = []
+    for a in mults:
+        coprime_b = st.integers(min_value=-200, max_value=200).filter(
+            lambda b, a=a: math.gcd(a, b) == 1
+        )
+        pairs.append((a, draw(coprime_b)))
+    assume(sum(Fraction(b, a) for a, b in pairs) != 0)
+    return SeifertData(pairs)
+
+
+_shift = st.integers(min_value=-50, max_value=50)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spherical_data(), st.permutations(range(3)), _shift, _shift, st.booleans())
+def test_three_routes_agree_and_are_invariant_under_re_presentation(s, perm, k1, k2, flip):
+    # shift/permutation invariance of delta, with orientation reversal negating it
+    assume(abs(k1 + k2) <= 50)
+    for c in spin_enumerate(s):
+        base = delta_engine(s, c)
+        assert base == plumbing_delta(*seifert_to_plumbing(s, c)) == delta(s, c)
+        s2, c2 = shift_move(*permute_fibers(s, c, perm), (k1, k2, -(k1 + k2)))
+        if flip:
+            s2, c2 = reverse_orientation(s2, c2)
+        expected = -base if flip else base
+        assert delta_engine(s2, c2) == expected
+        assert plumbing_delta(*seifert_to_plumbing(s2, c2)) == expected
+        assert delta(s2, c2) == expected

@@ -203,6 +203,13 @@ def test_plumbing_graph_of_the_wrong_shape_exits_2(capsys, monkeypatch, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bits", ["2,0", "0,-1", "1,3"])
+def test_plumbing_wu_bits_other_than_0_or_1_exit_2(capsys, bits):
+    rc, out, err = run(capsys, "plumbing", "--star", "(0; 3)", "--wu", bits)
+    assert rc == 2 and out == ""
+    assert err == "error: --wu bits must be 0 or 1\n"
+
+
 def test_definite_rejects_a_negative_scan_limit(capsys):
     rc, out, err = run(capsys, "definite", "--delta", "4", "--scan-limit", "-1")
     assert rc == 2 and out == "" and err.startswith("error:")

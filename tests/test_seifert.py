@@ -10,11 +10,12 @@ from spindefect.errors import (
     NoAdmissibleRearrangement,
     NoSpinForm,
 )
+from spindefect.plumbing import plumbing_delta, seifert_to_plumbing
 from spindefect.seifert import (
-    DEFAULT_SEARCH_BOUND,
     LensSpace,
     SeifertData,
     SpinAssignment,
+    _arrangement,
     _engine_value,
     delta_engine,
     euler_number,
@@ -116,9 +117,44 @@ def test_reverse_and_permute():
 
 def test_engine_worked_examples():
     s = SeifertData([(2, 1), (2, 1), (3, 1)])
-    assert delta_engine(s, SpinAssignment((0, 0, 0))) == 2
+    # (0, 0, 0) breaks the (3, 1) fiber's constraint: not a spin structure
+    with pytest.raises(NoSpinForm):
+        delta_engine(s, SpinAssignment((0, 0, 0)))
+    spins = spin_enumerate(s)
+    assert [c.cg for c in spins] == [(0, 1, 1), (1, 0, 1)]
+    assert [delta_engine(s, c) for c in spins] == [-3, -3]
     s2 = SeifertData([(2, 1), (2, 1), (2, -1)])
     assert delta_engine(s2, SpinAssignment((1, 0, 1))) == 0
+
+
+@pytest.mark.parametrize("pairs, cg, arranged, value", [
+    # a1 b2 + a2 b1 = 0, repaired by (2, 0, -2)
+    (((2, -9), (2, -9), (2, 9)), (0, 0, 0), ((2, -13), (2, 9), (2, -5)), 0),
+    # b3 = 0, repaired by (0, 2, -2)
+    (((1, -9), (1, 0), (2, -9)), (1, 0, 1), ((1, -9), (2, -13), (1, 2)), 2),
+    # a1 b2 + a2 b1 = 0 and b3 = -2 a3, repaired by (-2, 0, 2)
+    (((1, -2), (2, -9), (2, 9)), (0, 0, 0), ((2, -5), (2, 9), (1, -4)), 1),
+    # b3 = 0 and a1 b2 + a2 b1 = 2 a1 a2, repaired by (0, -2, 2)
+    (((1, 0), (2, -5), (2, 9)), (0, 0, 0), ((2, -5), (2, 13), (1, -2)), -1),
+])
+def test_arrangement_rule_branches(pairs, cg, arranged, value):
+    s, c = SeifertData(pairs), SpinAssignment(cg)
+    sp, cp = _arrangement(s, c)
+    assert sp.pairs == arranged
+    assert cp.cg[2] == 0 and cp.cg[0] == cp.cg[1]
+    assert delta_engine(s, c) == value
+
+
+def test_engine_agrees_with_plumbing_on_a_repaired_arrangement():
+    s, c = SeifertData([(2, -9), (2, -9), (2, 9)]), SpinAssignment((0, 0, 0))
+    assert delta_engine(s, c) == plumbing_delta(*seifert_to_plumbing(s, c)) == 0
+
+
+def test_engine_rejects_labels_that_are_not_spin():
+    # every fiber constraint holds (all a_i even), but the label sum is odd
+    s = SeifertData([(2, 1), (2, 1), (4, 1)])
+    with pytest.raises(NoSpinForm):
+        delta_engine(s, SpinAssignment((1, 0, 0)))
 
 
 def test_engine_on_poincare_like_data():
@@ -177,18 +213,6 @@ def test_engine_invariant_under_shift_moves(rng):
         for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
             s2, c2 = permute_fibers(s, c, perm)
             assert delta_engine(s2, c2) == base
-
-
-def test_search_bound_env_override(monkeypatch):
-    s = SeifertData([(2, 1), (2, 1), (3, 1)])
-    c = SpinAssignment((0, 0, 0))
-    assert delta_engine(s, c, bound=1) == 2
-    monkeypatch.setenv("SPINDEFECT_SEARCH_BOUND", "1")
-    assert delta_engine(s, c) == 2
-    monkeypatch.setenv("SPINDEFECT_SEARCH_BOUND", "0")
-    # the identity arrangement is already usable here, so bound 0 still works
-    assert delta_engine(s, c) == 2
-    assert DEFAULT_SEARCH_BOUND == 6
 
 
 # --- lens spaces ----------------------------------------------------------------
