@@ -11,15 +11,19 @@ indexed by the residue class of the third coefficient (parameter k) and,
 where the space has several spin structures, by the transported label
 pattern.
 
-``classify`` normalizes given data onto a row; ``delta_table`` evaluates a
-row at its parameters; ``delta`` combines the two and cross-checks the result
-against the torus-splitting engine; ``instantiate_case`` rebuilds concrete
-data from a case id, which is how the tables are round-trip tested.
+``classify`` normalizes given data onto a row directly, without a search:
+negate every b when the Euler number is positive; in D(2,2,n) move the
+n-fiber to the third slot and shift both 2-fibers to b = 1; in T/O/I order
+the fibers 2, 3, a_3 and shift the first two to b = t, with t = +1 iff
+b_2 = 1 mod 3.  The third coefficient and the transported labels then pick
+the row.  ``delta_table`` evaluates a row at its parameters; ``delta``
+combines the two and cross-checks the result against the torus-splitting
+engine; ``instantiate_case`` rebuilds concrete data from a case id, which
+is how the tables are round-trip tested.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -35,9 +39,7 @@ from .seifert import (
     SpinAssignment,
     delta_engine,
     euler_number,
-    permute_fibers,
     reverse_orientation,
-    shift_move,
     spin_conditions_hold,
 )
 from .sigma import sigma
@@ -109,6 +111,9 @@ class _ConstRow:
 
     def k_in_range(self, k: int) -> bool:
         return k >= 0 if self.t == 1 else k <= -1
+
+    def params(self, k: int) -> dict[str, int]:
+        return {"k": k} if self.eps is None else {"k": k, "eps": self.eps}
 
 
 _CONST_ROWS = [
@@ -182,29 +187,28 @@ _D_ROWS = {
     "2-10": ("even", "sum", None, 0),
 }
 
+_D_ROW_OF = {row[:3]: label for label, row in _D_ROWS.items()}
 
-def _d_row_value(label: str, n: int, b: int) -> int:
-    try:
-        parity, brange, _, addend = _D_ROWS[label]
-    except KeyError:
-        raise UnrecognizedForm(f"unknown catalog row ({label})") from None
+
+def _d_row_domain_error(label: str, n: int, b: int) -> str | None:
+    """Why (n, b) lies outside D row ``label``, or None when it is inside."""
+    parity, brange, _, _ = _D_ROWS[label]
     if n < 2 or math.gcd(n, b) != 1:
-        raise ValueError(f"row ({label}): (n, b) = ({n}, {b}) is not a valid pair")
+        return f"row ({label}): (n, b) = ({n}, {b}) is not a valid pair"
     if (n % 2 == 0) != (parity == "even"):
-        raise ValueError(f"row ({label}) needs n {parity}, got n = {n}")
+        return f"row ({label}) needs n {parity}, got n = {n}"
     if brange == "sum":
         if n + b <= 0:
-            raise ValueError(f"row ({label}) needs n + b > 0")
+            return f"row ({label}) needs n + b > 0"
         if n % 2 == 1 and b % 2 == 0:
-            raise ValueError(f"row ({label}) needs b odd when n is odd")
-        return sigma(n, n + b, -1)
-    if n % 2 == 1 and b % 2 != 0:
-        raise ValueError(f"row ({label}) needs b even")
-    if brange == "neg" and not -n < b < 0:
-        raise ValueError(f"row ({label}) needs -n < b < 0, got b = {b}")
-    if brange == "pos" and b <= 0:
-        raise ValueError(f"row ({label}) needs b > 0, got b = {b}")
-    return sigma(n, b, -1) + addend
+            return f"row ({label}) needs b odd when n is odd"
+    elif n % 2 == 1 and b % 2 != 0:
+        return f"row ({label}) needs b even"
+    elif brange == "neg" and not -n < b < 0:
+        return f"row ({label}) needs -n < b < 0, got b = {b}"
+    elif brange == "pos" and b <= 0:
+        return f"row ({label}) needs b > 0, got b = {b}"
+    return None
 
 
 # --- classification ---------------------------------------------------------
@@ -214,8 +218,10 @@ def classify(s: SeifertData, c: SpinAssignment) -> DeltaCaseId:
     """Normalize (s, c) onto a catalog row.
 
     The input orientation is kept when the Euler number is negative,
-    otherwise the reversal is classified and flagged.  Raises
-    UnrecognizedForm when the multiplicities are not spherical and
+    otherwise every b is negated (labels kept) and the case is flagged as
+    the reversal.  One fiber order and one coefficient shift, read off the
+    data, then put it in a row's printed form; no presentation is searched.
+    Raises UnrecognizedForm when the multiplicities are not spherical and
     NoSpinForm when the labels violate the spin constraints.
     """
     if len(s) != 3 or not s.is_spherical_candidate():
@@ -225,78 +231,75 @@ def classify(s: SeifertData, c: SpinAssignment) -> DeltaCaseId:
     if not spin_conditions_hold(s, c):
         raise NoSpinForm(f"labels {c.cg};{c.ch} are not a spin structure on {s.pairs}")
     reversed_flag = euler_number(s) > 0
-    if reversed_flag:
-        s, c = reverse_orientation(s, c)
+    sign = -1 if reversed_flag else 1
+    # c(h) = 0 on every spherical form (each has a 2-fiber), so a shift by
+    # k_i moves the label c(g_i) by k_i mod 2
+    fibers = [(a, sign * b, cg) for (a, b), cg in zip(s.pairs, c.cg)]
     mults = sorted(s.multiplicities)
     if mults[1] == 2:
-        case = _classify_dihedral(s, c)
+        case = _classify_dihedral(fibers, reversed_flag)
     else:
-        case = _classify_polyhedral(s, c, mults[2])
+        case = _classify_polyhedral(fibers, mults[2], reversed_flag)
     if case is None:
         # the rows cover every negative-Euler-number spherical form, so a
         # fall-through means the tables or the normalizer are broken
         raise InternalDisagreement(f"no catalog row matched {s.pairs} / {c.cg}")
-    if reversed_flag:
-        case = DeltaCaseId(case.family, case.row, case.params, True)
     return case
 
 
-def _classify_dihedral(s: SeifertData, c: SpinAssignment) -> DeltaCaseId | None:
-    for perm in itertools.permutations(range(3)):
-        pairs = [s.pairs[i] for i in perm]
-        if pairs[0][0] != 2 or pairs[1][0] != 2:
-            continue
-        sp, cp = permute_fibers(s, c, perm)
-        k1 = (pairs[0][1] - 1) // 2
-        k2 = (pairs[1][1] - 1) // 2
-        sp, cp = shift_move(sp, cp, (k1, k2, -(k1 + k2)))
-        n, b = sp.pairs[2]
-        c1, c2, c3 = cp.cg
-        if c3 == 1:
-            label = "2-5" if n % 2 == 1 else "2-10"
-            params = {"n": n, "b": b, "eps": c1}
-        else:
-            neg = b < 0
-            if (c1, c2) == (0, 0):
-                label = {(1, True): "2-1", (1, False): "2-3",
-                         (0, True): "2-6", (0, False): "2-8"}[(n % 2, neg)]
-            else:
-                label = {(1, True): "2-2", (1, False): "2-4",
-                         (0, True): "2-7", (0, False): "2-9"}[(n % 2, neg)]
-            params = {"n": n, "b": b}
-        return DeltaCaseId(FAMILY_D, label, params)
-    return None
+def _classify_dihedral(fibers, reversed_flag: bool) -> DeltaCaseId | None:
+    # the n-fiber to slot 3 (with three 2-fibers the third stays), the other
+    # two in their order, shifted to b = 1
+    third = next((i for i in range(3) if fibers[i][0] != 2), 2)
+    (_, b1, c1), (_, b2, c2) = [f for i, f in enumerate(fibers) if i != third]
+    n, b, c3 = fibers[third]
+    k1, k2 = (b1 - 1) // 2, (b2 - 1) // 2
+    b += n * (k1 + k2)
+    c1, c2, c3 = (c1 + k1) % 2, (c2 + k2) % 2, (c3 + k1 + k2) % 2
+    parity = "odd" if n % 2 else "even"
+    if c3:
+        label = _D_ROW_OF.get((parity, "sum", None))
+        params = {"n": n, "b": b, "eps": c1}
+    else:
+        label = _D_ROW_OF.get((parity, "neg" if b < 0 else "pos", (c1, c2)))
+        params = {"n": n, "b": b}
+    if label is None or _d_row_domain_error(label, n, b) is not None:
+        return None
+    return DeltaCaseId(FAMILY_D, label, params, reversed_flag)
 
 
-def _classify_polyhedral(s: SeifertData, c: SpinAssignment, a3: int) -> DeltaCaseId | None:
+def _classify_polyhedral(fibers, a3: int, reversed_flag: bool) -> DeltaCaseId | None:
+    # the 2-fiber to slot 1, a 3-fiber to slot 2 (in T the lower-index one)
+    # and the a3-fiber to slot 3; the first two are shifted to b = t
+    first = next(f for f in fibers if f[0] == 2)
+    second, third = [f for f in fibers if f[0] != 2]
+    if second[0] != 3:
+        second, third = third, second
+    t, b3, c3 = _polyhedral_form(first, second, third)
+    if a3 == 3 and b3 % 2 and (second[1] - third[1]) % 3:
+        # then b3 = -t (mod 3) and b3 is odd, a class no row of this t
+        # carries; the swapped order is the one that fits
+        second, third = third, second
+        t, b3, c3 = _polyhedral_form(first, second, third)
     family = _FAMILY_OF_A3[a3]
-    rows = [r for r in _CONST_ROWS if r.family == family]
-    for perm in itertools.permutations(range(3)):
-        pairs = [s.pairs[i] for i in perm]
-        if pairs[0][0] != 2 or pairs[1][0] != 3 or pairs[2][0] != a3:
+    for row in _CONST_ROWS:
+        if row.family != family or row.t != t or row.c3 not in (None, c3):
             continue
-        t = 1 if pairs[1][1] % 3 == 1 else -1
-        sp, cp = permute_fibers(s, c, perm)
-        k1 = (pairs[0][1] - t) // 2
-        k2 = (pairs[1][1] - t) // 3
-        sp, cp = shift_move(sp, cp, (k1, k2, -(k1 + k2)))
-        b3 = sp.pairs[2][1]
-        for row in rows:
-            if row.t != t:
-                continue
-            k, rem = divmod(b3 - row.offset, row.slope)
-            if rem != 0 or not row.k_in_range(k):
-                continue
-            if row.c3 is not None and row.c3 != cp.cg[2]:
-                continue
-            if row.c3 is not None:
-                expected = (1 - row.c3, 1, row.c3)
-                assert cp.cg == expected, (cp.cg, expected)
-            params = {"k": k}
-            if row.eps is not None:
-                params["eps"] = row.eps
-            return DeltaCaseId(family, row.label, params)
+        k, rem = divmod(b3 - row.offset, row.slope)
+        if rem == 0 and row.k_in_range(k):
+            return DeltaCaseId(family, row.label, row.params(k), reversed_flag)
     return None
+
+
+def _polyhedral_form(first, second, third) -> tuple[int, int, int]:
+    """(t, b_3, c_3) once the first two fibers are shifted to b = t = +-1.
+
+    t = +1 iff b_2 = 1 (mod 3); the shift moves c_3 by its total mod 2.
+    """
+    (_, b1, _), (_, b2, _), (a3, b3, c3) = first, second, third
+    t = 1 if b2 % 3 == 1 else -1
+    k = (b1 - t) // 2 + (b2 - t) // 3
+    return t, b3 + a3 * k, (c3 + k) % 2
 
 
 # --- row evaluation and dispatch --------------------------------------------
@@ -315,7 +318,14 @@ def delta_table(case: DeltaCaseId) -> int:
         lens = LensSpace(p, q, case.params["eps"])
         return sigma(lens.q, lens.p, lens.eps)
     if case.family == FAMILY_D:
-        return _d_row_value(case.row, case.params["n"], case.params["b"])
+        label, n, b = case.row, case.params["n"], case.params["b"]
+        if label not in _D_ROWS:
+            raise UnrecognizedForm(f"unknown catalog row ({label})")
+        error = _d_row_domain_error(label, n, b)
+        if error is not None:
+            raise ValueError(error)
+        _, brange, _, addend = _D_ROWS[label]
+        return sigma(n, n + b, -1) if brange == "sum" else sigma(n, b, -1) + addend
     row = _const_row(case.row, case.params.get("eps"))
     if row.family != case.family:
         raise ValueError(f"row ({case.row}) does not belong to {case.family}")
@@ -399,26 +409,14 @@ def iter_cases(k_span: int = 3, n_max: int = 8, b_max: int = 8):
     for row in _CONST_ROWS:
         ks = range(0, k_span + 1) if row.t == 1 else range(-1, -k_span - 1, -1)
         for k in ks:
-            params = {"k": k}
-            if row.eps is not None:
-                params["eps"] = row.eps
-            yield DeltaCaseId(row.family, row.label, params)
-    for label, (parity, brange, _, _) in _D_ROWS.items():
-        ns = range(3, n_max + 1, 2) if parity == "odd" else range(2, n_max + 1, 2)
-        for n in ns:
+            yield DeltaCaseId(row.family, row.label, row.params(k))
+    for label, (_, brange, _, _) in _D_ROWS.items():
+        for n in range(2, n_max + 1):
             for b in range(-b_max, b_max + 1):
-                if b == 0 or math.gcd(n, b) != 1:
+                if _d_row_domain_error(label, n, b) is not None:
                     continue
                 if brange == "sum":
-                    if n + b <= 0 or (n % 2 == 1 and b % 2 == 0):
-                        continue
                     for eps in (0, 1):
                         yield DeltaCaseId(FAMILY_D, label, {"n": n, "b": b, "eps": eps})
-                    continue
-                if n % 2 == 1 and b % 2 != 0:
-                    continue
-                if brange == "neg" and not -n < b < 0:
-                    continue
-                if brange == "pos" and b <= 0:
-                    continue
-                yield DeltaCaseId(FAMILY_D, label, {"n": n, "b": b})
+                else:
+                    yield DeltaCaseId(FAMILY_D, label, {"n": n, "b": b})

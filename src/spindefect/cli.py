@@ -433,45 +433,21 @@ def _selftest_catalog() -> int:
     return checks
 
 
-_TABLE_STARS = {
-    # row label -> third arm of the negative-definite resolution; the first
-    # two arms are always (-2) and (-2,-2), the center is -2k-2
-    "3-3": (-2, -2),
-    "4-5": (-4,),
-    "4-13": (-2, -2, -2),
-    "5-5": (-2, -2, -2, -2),
-}
-
-_TABLE_DELTAS = [
-    ("3-5", {"k": 0}, -4),
-    ("4-2", {"k": 0}, -5),
-    ("4-8", {"k": -1}, -3),
-    ("4-10", {"k": 0}, -3),
-    ("5-1-ε", {"k": 0, "eps": 1}, -4),
-    ("5-7", {"k": 0}, -6),
-    ("3-6", {"k": -1}, 2),
-    ("4-4", {"k": -1}, 3),
-    ("4-11", {"k": -1}, -1),
-    ("4-12", {"k": -1}, 1),
-    ("4-14", {"k": 0}, -1),
-    ("5-2-ε", {"k": -1, "eps": 1}, 2),
-    ("5-8", {"k": -1}, 4),
-    ("5-11-ε", {"k": 0, "eps": -1}, -2),
+_TABLE_STARS = [
+    # (family, row label, third arm of the negative-definite resolution); the
+    # first two arms are always (-2) and (-2,-2), the center is -2k-2
+    (catalog.FAMILY_T, "3-3", (-2, -2)),
+    (catalog.FAMILY_O, "4-5", (-4,)),
+    (catalog.FAMILY_O, "4-13", (-2, -2, -2)),
+    (catalog.FAMILY_I, "5-5", (-2, -2, -2, -2)),
 ]
-
-_FAMILY_OF_ROW = {"2": catalog.FAMILY_D, "3": catalog.FAMILY_T,
-                  "4": catalog.FAMILY_O, "5": catalog.FAMILY_I}
-
-
-def _row_case(label: str, params: dict) -> DeltaCaseId:
-    return DeltaCaseId(_FAMILY_OF_ROW[label.split("-")[0]], label, params)
 
 
 def _selftest_resolutions() -> int:
     checks = 0
-    for label, third_arm in _TABLE_STARS.items():
+    for family, label, third_arm in _TABLE_STARS:
         for k in (0, 1, 2):
-            case = _row_case(label, {"k": k})
+            case = DeltaCaseId(family, label, {"k": k})
             s, c = instantiate_case(case)
             g, w = seifert_to_plumbing(s, c)
             expected = star_graph(-2 * k - 2, [(-2,), (-2, -2), third_arm])
@@ -486,17 +462,6 @@ def _selftest_resolutions() -> int:
     _check(signature(intersection_matrix(e8)) == (0, 8, 0), "E8 inertia")
     _check(wu_solutions(e8) == [WuVector()], "E8 Wu solutions")
     checks += 2
-    return checks
-
-
-def _selftest_table_deltas() -> int:
-    checks = 0
-    for label, params, expected in _TABLE_DELTAS:
-        case = _row_case(label, params)
-        s, c = instantiate_case(case)
-        _check(delta(s, c) == expected,
-               f"row ({label}) at {params}: delta != {expected}")
-        checks += 1
     return checks
 
 
@@ -526,7 +491,6 @@ def cmd_selftest(args) -> int:
         ("sigma three-way agreement", _selftest_sigma),
         ("catalog rows (table/engine/plumbing/antisymmetry)", _selftest_catalog),
         ("negative-definite resolutions", _selftest_resolutions),
-        ("definite-filling table deltas", _selftest_table_deltas),
         ("ten-eighths applications", _selftest_obstruction),
     ]
     results = []

@@ -365,13 +365,9 @@ def plumbing_delta(g: PlumbingGraph, w: WuVector) -> int:
     if not _is_wu(g, w):
         raise ValueError(f"{sorted(w.support)} is not a Wu vector of the graph")
     plus, minus, _ = _tree_inertia(g)
-    self_pairing = sum(g.weight(v) for v in w.support)
-    # distinct support vertices joined by an edge would add cross terms,
-    # but Wu non-adjacency (asserted in wu_solutions) rules that out
-    for i, j in g.edges:
-        if i in w.support and j in w.support:
-            self_pairing += 2
-    return (plus - minus) - self_pairing
+    # a support vertex has an even number of support neighbours (_is_wu),
+    # which in a forest means none: w.M.w has no cross terms
+    return (plus - minus) - sum(g.weight(v) for v in w.support)
 
 
 def blow_down(g: PlumbingGraph, w: WuVector, v: int) -> tuple[PlumbingGraph, list[WuVector]]:

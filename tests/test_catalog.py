@@ -69,7 +69,7 @@ def test_classification_survives_presentation_changes(rng):
     # row and the defect cannot move.  One caveat: swapping the two identical
     # (2, b) fibers of a dihedral sum row exchanges the labels c_1, c_2, so
     # the eps tag may flip there; everything else is pinned.
-    for case in _GRID[::13]:
+    for case in _GRID:
         s, c = instantiate_case(case)
         want = delta(s, c)
         free_eps = case.family == FAMILY_D and "eps" in case.params
@@ -136,6 +136,27 @@ def test_dihedral_sum_row_fixture():
         assert case.row == "2-5"
         assert (case.params["n"], case.params["b"]) == (3, 1)
         assert delta(s, c) == sigma(3, 4, -1) == -3
+
+
+def test_direct_normalization_branches():
+    # expected cases and values computed by the permutation-scanning
+    # classifier this rule replaced
+    t_case = DeltaCaseId(FAMILY_T, "3-2", {"k": -2})
+    # T(2,3,3) with 3-fibers that differ mod 3: the order (3,1),(3,5) leaves
+    # b3 odd and needs the swap, the order (3,5),(3,1) does not
+    for pairs in ([(2, 1), (3, 1), (3, 5)], [(2, 1), (3, 5), (3, 1)]):
+        s, c = SeifertData(pairs), SpinAssignment((0, 1, 1))
+        assert classify(s, c) == t_case
+        assert delta(s, c) == 0
+    # positive Euler number: the b's are negated and the case flagged
+    s, c = SeifertData([(2, -1), (3, -1), (3, -5)]), SpinAssignment((0, 1, 1))
+    assert classify(s, c) == DeltaCaseId(FAMILY_T, "3-2", {"k": -2}, True)
+    # the n-fiber comes first and moves to slot 3
+    s = SeifertData([(7, 4), (2, 1), (2, -1)])
+    for cg, eps in (((0, 0, 0), 0), ((0, 1, 1), 1)):
+        c = SpinAssignment(cg)
+        assert classify(s, c) == DeltaCaseId(FAMILY_D, "2-5", {"n": 7, "b": -3, "eps": eps})
+        assert delta(s, c) == 1
 
 
 def test_constant_row_values():

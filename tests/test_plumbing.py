@@ -136,8 +136,12 @@ def test_local_wu_check_matches_dense_product(g, data):
         for i in range(len(g))
     )
     assert _is_wu(g, WuVector(support)) == dense
+    plus, minus, _ = signature(m)
     for w in wu_solutions(g):
         assert _is_wu(g, w)
+        x = w.as_bits(g)
+        w_m_w = sum(x[i] * m[i][j] * x[j] for i in range(len(g)) for j in range(len(g)))
+        assert plumbing_delta(g, w) == plus - minus - w_m_w
 
 
 def test_tree_inertia_fixtures():
