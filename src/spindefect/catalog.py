@@ -38,7 +38,6 @@ from .seifert import (
     SeifertData,
     SpinAssignment,
     delta_engine,
-    euler_number,
     reverse_orientation,
     spin_conditions_hold,
 )
@@ -230,7 +229,7 @@ def classify(s: SeifertData, c: SpinAssignment) -> DeltaCaseId:
         )
     if not spin_conditions_hold(s, c):
         raise NoSpinForm(f"labels {c.cg};{c.ch} are not a spin structure on {s.pairs}")
-    reversed_flag = euler_number(s) > 0
+    reversed_flag = _euler_positive(s)
     sign = -1 if reversed_flag else 1
     # c(h) = 0 on every spherical form (each has a 2-fiber), so a shift by
     # k_i moves the label c(g_i) by k_i mod 2
@@ -245,6 +244,13 @@ def classify(s: SeifertData, c: SpinAssignment) -> DeltaCaseId:
         # fall-through means the tables or the normalizer are broken
         raise InternalDisagreement(f"no catalog row matched {s.pairs} / {c.cg}")
     return case
+
+
+def _euler_positive(s) -> bool:
+    """Whether e = -sum(b_i / a_i) > 0, in integers: with A the product of
+    the (positive) multiplicities, e > 0 iff sum(b_i * A / a_i) < 0."""
+    prod = math.prod(a for a, _ in s)
+    return sum(b * (prod // a) for a, b in s) < 0
 
 
 def _classify_dihedral(fibers, reversed_flag: bool) -> DeltaCaseId | None:

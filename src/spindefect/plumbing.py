@@ -22,6 +22,14 @@ has no fill-in, so nothing else changes as a vertex goes.  The dense
 rational congruent diagonalization ``signature`` stays as the reference it
 is tested against.  All signature work is exact; nothing here touches
 floating point.
+
+The Wu vectors come from the same leaf-to-root order over GF(2).  A vertex
+whose reduced diagonal is 1 is solved in terms of its parent and folded
+into the parent's equation; one whose reduced diagonal is 0 fixes its
+parent at 0, and its own value is then defined by the parent's equation,
+or is free when a sibling already fixed the parent.  Back-substitution from
+the root gives every solution as an affine form in the free variables, so
+the whole solve is linear in the tree, with no fill-in and no dense matrix.
 """
 
 from __future__ import annotations
@@ -212,69 +220,95 @@ def signature(m) -> tuple[int, int, int]:
     return plus, minus, n - plus - minus
 
 
-def _gf2_solve(g: PlumbingGraph):
-    """Row-reduce M x = diag(M) over GF(2); rows/solutions as bitmasks."""
-    n = len(g)
-    index = {v: k for k, v in enumerate(g.ids)}
-    rows = []
-    for k, (v, w) in enumerate(g.vertices):
-        mask = (w & 1) << k  # diagonal contributes only for odd weight
-        for u in g._adj[v]:
-            mask |= 1 << index[u]
-        rows.append((mask, w & 1))
-    pivots = {}  # column -> reduced row
-    for mask, rhs in rows:
-        for col, (pmask, prhs) in pivots.items():
-            if mask >> col & 1:
-                mask ^= pmask
-                rhs ^= prhs
-        if mask == 0:
-            if rhs:
-                raise NoSolution("characteristic system is inconsistent")
-            continue
-        col = mask.bit_length() - 1
-        pivots[col] = (mask, rhs)
-        for c2 in list(pivots):
-            if c2 != col and pivots[c2][0] >> col & 1:
-                m2, r2 = pivots[c2]
-                pivots[c2] = (m2 ^ mask, r2 ^ rhs)
-    particular = 0
-    for col, (_, rhs) in pivots.items():
-        if rhs:
-            particular |= 1 << col
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = 1 << fc
-        for col, (pmask, _) in pivots.items():
-            if pmask >> fc & 1:
-                vec |= 1 << col
-        basis.append(vec)
-    return particular, basis
+def _leaf_order(g: PlumbingGraph) -> tuple[list[int], dict]:
+    """Breadth-first order from the first vertex (every vertex after its
+    parent), and each vertex's parent (None at the root)."""
+    adj = g._adj
+    root = g.vertices[0][0]
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    return order, parent
+
+
+def _wu_forms(g: PlumbingGraph) -> tuple[list[int], dict, int]:
+    """Solve M x = diag(M) over GF(2) from the leaves to the root.
+
+    Returns (order, forms, k): each x_v as an affine form over the k free
+    variables, bit 0 its constant and bit j + 1 free variable j.  Eliminating
+    leaves first is a perfect elimination order on a tree, so once v's
+    children are done its equation holds only x_v, x_parent and the x of its
+    children with reduced diagonal 0.  That diagonal, eff_v, is w_v mod 2
+    plus the number of children with eff 1, and it is also the equation's
+    right-hand side: folding in an eff-1 child flips both.
+
+    - eff 1: x_v = 1 + x_parent, folded into the parent's equation.
+    - eff 0: the equation reads x_parent = 0.  The first such child c pins
+      its parent v to 0, and v's equation then defines x_c; each later one,
+      and an eff-0 root no child pins, is a free variable.
+
+    Every equation is used or reads 0 = 0, so the system is always solvable,
+    as it is for any symmetric form.  Raises NoSolution past the enumeration
+    cap, before any form is built.
+    """
+    order, parent = _leaf_order(g)
+    eff = {v: w & 1 for v, w in g.vertices}
+    zeros = {}  # pinned vertex -> its eff-0 children, the first one defined
+    free = []
+    for v in reversed(order):
+        up = parent[v]
+        if v in zeros:
+            continue  # x_v = 0: nothing to fold into the parent
+        if eff[v]:
+            if up is not None:
+                eff[up] ^= 1
+        elif up is None or up in zeros:
+            free.append(v)
+            if up is not None:
+                zeros[up].append(v)
+        else:
+            zeros[up] = [v]
+    if len(free) > _KERNEL_CAP:
+        raise NoSolution(
+            f"GF(2) kernel dimension {len(free)} exceeds the enumeration cap"
+        )
+    x = {v: 2 << j for j, v in enumerate(free)}
+    for v in order:  # root first: x_parent is known before x_v
+        up = parent[v]
+        above = 0 if up is None else x[up]
+        if v in zeros:
+            x[v] = 0
+            first, *rest = zeros[v]
+            f = eff[v] ^ above
+            for u in rest:
+                f ^= x[u]
+            x[first] = f
+        elif v not in x:  # free variables and defined children are set
+            x[v] = 1 ^ above
+    return order, x, len(free)
 
 
 def wu_solutions(g: PlumbingGraph) -> list[WuVector]:
     """All Wu vectors of the tree, deterministically ordered.
 
-    The system M x = diag(M) over GF(2) is always solvable for trees (the
-    diagonal functional vanishes on the kernel); NoSolution would mean the
-    input is not one.  Solutions are checked against the fact that no two
+    The system M x = diag(M) over GF(2) is always solvable (the diagonal
+    functional vanishes on the kernel of a symmetric form); it is solved in
+    one pass from the leaves to the root, O(n) up to the 2^k solutions of a
+    kernel of dimension k.  NoSolution is raised when k exceeds the
+    enumeration cap.  Solutions are checked against the fact that no two
     adjacent vertices can both carry eps = 1.
     """
     if len(g) == 0:
         return [WuVector()]
-    particular, basis = _gf2_solve(g)
-    if len(basis) > _KERNEL_CAP:
-        raise NoSolution(
-            f"GF(2) kernel dimension {len(basis)} exceeds the enumeration cap"
-        )
+    order, x, k = _wu_forms(g)
     sols = []
-    for bits in itertools.product((0, 1), repeat=len(basis)):
-        x = particular
-        for take, vec in zip(bits, basis):
-            if take:
-                x ^= vec
-        support = frozenset(v for k, v in enumerate(g.ids) if x >> k & 1)
+    for free in range(1 << k):
+        at = free << 1 | 1  # the constant bit, then the free variables' values
+        support = frozenset(v for v in order if (x[v] & at).bit_count() & 1)
         for i, j in g.edges:
             assert not (i in support and j in support), (
                 f"adjacent Wu pair {i},{j}: not a plumbing tree?"
@@ -323,15 +357,7 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
     """
     if not g.vertices:
         return 0, 0, 0
-    adj = g._adj
-    root = g.vertices[0][0]
-    parent = {root: None}
-    order = [root]
-    for v in order:  # breadth first: every vertex after its parent
-        for u in adj[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
+    order, parent = _leaf_order(g)
     num = dict(g._weight)
     den = dict.fromkeys(num, 1)
     zero_children = dict.fromkeys(num, 0)

@@ -12,6 +12,7 @@ from spindefect.catalog import (
     FAMILY_O,
     FAMILY_T,
     DeltaCaseId,
+    _euler_positive,
     classify,
     delta,
     delta_table,
@@ -25,6 +26,7 @@ from spindefect.seifert import (
     SeifertData,
     SpinAssignment,
     delta_engine,
+    euler_number,
     permute_fibers,
     reverse_orientation,
     shift_move,
@@ -252,6 +254,15 @@ def _spherical_data(draw):
 
 
 _shift = st.integers(min_value=-50, max_value=50)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spherical_data())
+def test_integer_orientation_sign_matches_the_euler_number(s):
+    # classify reads the sign of e from integers, never from a Fraction sum
+    assert _euler_positive(s) == (euler_number(s) > 0)
+    mirror = SeifertData([(a, -b) for a, b in s])
+    assert _euler_positive(mirror) == (euler_number(mirror) > 0) != _euler_positive(s)
 
 
 @settings(max_examples=150, deadline=None)

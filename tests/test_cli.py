@@ -210,6 +210,14 @@ def test_plumbing_wu_bits_other_than_0_or_1_exit_2(capsys, bits):
     assert err == "error: --wu bits must be 0 or 1\n"
 
 
+def test_plumbing_past_the_wu_enumeration_cap_exits_2(capsys):
+    star = "(0" + "; 0" * 14 + ")"  # 14 zero arms: GF(2) kernel of dimension 13
+    for argv in (("plumbing", "--star", star), ("plumbing", "--star", star, "--json")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err == "error: GF(2) kernel dimension 13 exceeds the enumeration cap\n"
+
+
 def test_definite_rejects_a_negative_scan_limit(capsys):
     rc, out, err = run(capsys, "definite", "--delta", "4", "--scan-limit", "-1")
     assert rc == 2 and out == "" and err.startswith("error:")

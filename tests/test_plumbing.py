@@ -1,6 +1,9 @@
+import itertools
 import json
 import math
 import random
+import re
+import time
 import types
 from collections import Counter
 
@@ -11,8 +14,9 @@ from hypothesis import strategies as st
 
 import spindefect
 from spindefect.catalog import delta, instantiate_case, iter_cases
-from spindefect.errors import NoSpinForm
+from spindefect.errors import NoSolution, NoSpinForm
 from spindefect.plumbing import (
+    _KERNEL_CAP,
     PlumbingGraph,
     WuVector,
     _is_wu,
@@ -106,10 +110,10 @@ def test_signature_against_eigenvalue_counts():
 
 
 @st.composite
-def random_trees(draw, max_vertices=14):
-    """Trees of up to max_vertices with weights in [-3, 3] and shuffled ids."""
+def random_trees(draw, max_vertices=14, weight=st.integers(-3, 3)):
+    """Trees of up to max_vertices with weights from ``weight`` and shuffled ids."""
     n = draw(st.integers(min_value=1, max_value=max_vertices))
-    weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
     parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
     ids = draw(st.permutations(range(n)))
     return PlumbingGraph(
@@ -160,6 +164,108 @@ def test_ten_thousand_vertex_chain_matches_sigma():
     g, w = seifert_to_plumbing(lens)
     assert len(g) == 10000
     assert plumbing_delta(g, w) == sigma(10000, 10001, -1)
+
+
+def _gf2_solve(g: PlumbingGraph):
+    """Row-reduce M x = diag(M) over GF(2); rows/solutions as bitmasks.
+
+    The dense reference for the leaf-to-root solve under ``wu_solutions``.
+    """
+    n = len(g)
+    index = {v: k for k, v in enumerate(g.ids)}
+    rows = []
+    for k, (v, w) in enumerate(g.vertices):
+        mask = (w & 1) << k  # diagonal contributes only for odd weight
+        for u in g.neighbors(v):
+            mask |= 1 << index[u]
+        rows.append((mask, w & 1))
+    pivots = {}  # column -> reduced row
+    for mask, rhs in rows:
+        for col, (pmask, prhs) in pivots.items():
+            if mask >> col & 1:
+                mask ^= pmask
+                rhs ^= prhs
+        if mask == 0:
+            if rhs:
+                raise NoSolution("characteristic system is inconsistent")
+            continue
+        col = mask.bit_length() - 1
+        pivots[col] = (mask, rhs)
+        for c2 in list(pivots):
+            if c2 != col and pivots[c2][0] >> col & 1:
+                m2, r2 = pivots[c2]
+                pivots[c2] = (m2 ^ mask, r2 ^ rhs)
+    particular = 0
+    for col, (_, rhs) in pivots.items():
+        if rhs:
+            particular |= 1 << col
+    free_cols = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free_cols:
+        vec = 1 << fc
+        for col, (pmask, _) in pivots.items():
+            if pmask >> fc & 1:
+                vec |= 1 << col
+        basis.append(vec)
+    return particular, basis
+
+
+def _dense_wu_solutions(g: PlumbingGraph) -> list[WuVector]:
+    """``wu_solutions`` as the dense solve gives it: same cap, same order."""
+    if len(g) == 0:
+        return [WuVector()]
+    particular, basis = _gf2_solve(g)
+    if len(basis) > _KERNEL_CAP:
+        raise NoSolution(
+            f"GF(2) kernel dimension {len(basis)} exceeds the enumeration cap"
+        )
+    sols = []
+    for bits in itertools.product((0, 1), repeat=len(basis)):
+        x = particular
+        for take, vec in zip(bits, basis):
+            if take:
+                x ^= vec
+        sols.append(WuVector(v for k, v in enumerate(g.ids) if x >> k & 1))
+    return sorted(sols, key=lambda w: sorted(w.support))
+
+
+def _wu_outcome(solve, g):
+    try:
+        return solve(g)
+    except NoSolution as exc:
+        return str(exc)
+
+
+# zero weights make unpinned and pinned vertices common, +-2 keeps them even
+_WU_WEIGHTS = st.sampled_from((-3, -2, -2, -1, 0, 0, 0, 1, 2, 2, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_trees(max_vertices=18, weight=_WU_WEIGHTS))
+def test_wu_solutions_match_the_dense_gf2_solve(g):
+    assert _wu_outcome(wu_solutions, g) == _wu_outcome(_dense_wu_solutions, g)
+
+
+def test_wu_solutions_at_the_enumeration_cap():
+    # a zero leaf fixes the zero center at 0, and the center's equation asks
+    # the leaves to sum to 0: kernel dimension = arms - 1
+    at_cap = star_graph(0, [(0,)] * 13)
+    sols = wu_solutions(at_cap)
+    assert len(sols) == 4096 == 2**_KERNEL_CAP
+    assert sols == _dense_wu_solutions(at_cap)
+    past_cap = star_graph(0, [(0,)] * 14)
+    message = "GF(2) kernel dimension 13 exceeds the enumeration cap"
+    with pytest.raises(NoSolution, match=re.escape(message)):
+        wu_solutions(past_cap)
+    assert _wu_outcome(_dense_wu_solutions, past_cap) == message
+
+
+def test_ten_thousand_vertex_chain_wu_is_linear():
+    g, _ = seifert_to_plumbing(LensSpace(10001, 10000, -1))
+    start = time.perf_counter()
+    assert wu_solutions(g) == [WuVector()]
+    # the dense solve took about 20 s here
+    assert time.perf_counter() - start < 0.5
 
 
 def test_wu_solutions_fixtures():
@@ -229,6 +335,22 @@ def test_blow_down_preserves_the_defect_multiset():
                 g2, sols = blow_down(g, wu_solutions(g)[0], v)
                 after = Counter(plumbing_delta(g2, w) for w in sols)
                 assert before == after, (g.vertices, v)
+
+
+def test_blow_down_preserves_the_defect_multiset_at_scale():
+    # 1,066 vertices, 8 Wu vectors; 644 blow-down candidates, sampled along
+    # every arm, at the arm ends and next to the center
+    g = star_graph(-2, [(-2, 1, -1, -2) * 100, (1, 1, -2) * 110 + (1, 1),
+                        (-2, -1, -1) * 110 + (-2,), (0,), (1, -1)])
+    sols = wu_solutions(g)
+    before = Counter(plumbing_delta(g, w) for w in sols)
+    assert len(sols) == 8 and len(before) == 4
+    candidates = [v for v, wt in g.vertices if wt in (1, -1) and g.degree(v) <= 2]
+    sample = set(candidates[::25])
+    sample.update(v for v in candidates if g.degree(v) == 1 or 0 in g.neighbors(v))
+    for v in sorted(sample):
+        g2, sols2 = blow_down(g, sols[0], v)
+        assert Counter(plumbing_delta(g2, w) for w in sols2) == before, v
 
 
 def test_blow_down_validation():
