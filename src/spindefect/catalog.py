@@ -358,7 +358,15 @@ def delta(s, c=None) -> int:
         raise TypeError(f"expected SeifertData or LensSpace, got {type(s).__name__}")
     if not isinstance(c, SpinAssignment):
         raise TypeError("three-fiber data needs a SpinAssignment")
-    case = classify(s, c)
+    return _cross_checked(s, c, classify(s, c))
+
+
+def _cross_checked(s: SeifertData, c: SpinAssignment, case: DeltaCaseId) -> int:
+    """The defect from ``case = classify(s, c)``, checked against the engine.
+
+    For callers that also report the case, so each spin structure is
+    classified once.
+    """
     value = delta_table(case)
     if case.orientation_reversed:
         value = -value

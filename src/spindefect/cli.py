@@ -30,7 +30,6 @@ from .obstruction import (
 from .plumbing import (
     PlumbingGraph,
     WuVector,
-    _tree_inertia,
     graph_from_json,
     graph_to_json,
     intersection_matrix,
@@ -168,7 +167,7 @@ def cmd_delta(args) -> int:
     results = []
     for c in cs:
         case = classify(s, c)
-        val = delta(s, c)
+        val = catalog._cross_checked(s, c, case)
         lines.append(
             f"c = ({','.join(map(str, c.cg))}): delta = {val}   [{case.describe()}]"
         )
@@ -212,7 +211,7 @@ def cmd_plumbing(args) -> int:
         vectors = [w_file]
     else:
         vectors = wu_solutions(g)
-    plus, minus, zero = _tree_inertia(g)
+    plus, minus, zero = g._inertia
     lines = [
         f"vertices: {len(g)}, edges: {len(g.edges)}",
         f"signature: (b+ = {plus}, b- = {minus}, b0 = {zero}), sign = {plus - minus}",
@@ -244,7 +243,7 @@ def cmd_seifert_to_plumbing(args) -> int:
         g, w = seifert_to_plumbing(s, c)
         source = {"seifert": _fmt_seifert(s), "spin": _fmt_spin(c)}
         label = _fmt_seifert(s)
-    plus, minus, zero = _tree_inertia(g)
+    plus, minus, zero = g._inertia
     d = plumbing_delta(g, w)
     lines = [
         f"spin plumbing for {label}: {len(g)} vertices",

@@ -34,6 +34,7 @@ the whole solve is linear in the tree, with no fill-in and no dense matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -89,28 +90,51 @@ class PlumbingGraph:
             raise ValueError("duplicate edges")
         if vertices and len(norm) != len(vertices) - 1:
             raise ValueError("not a tree: |edges| != |vertices| - 1")
-        edges = tuple(sorted(norm))
-        adj = {i: [] for i in ids}
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
+        self._set(vertices, tuple(sorted(norm)))
         if vertices:
             seen = {ids[0]}
             frontier = [ids[0]]
             while frontier:
                 v = frontier.pop()
-                for u in adj[v]:
+                for u in self._adj[v]:
                     if u not in seen:
                         seen.add(u)
                         frontier.append(u)
             if seen != idset:
                 raise ValueError("not a tree: graph is disconnected")
+
+    @classmethod
+    def _from_tree(cls, vertices, edges) -> PlumbingGraph:
+        """A graph from a builder that has just made a tree, not re-validated.
+
+        The builder guarantees distinct integer ids and edges (i, j) with
+        i < j that form a tree on them, as ``chain_graph`` and
+        ``star_graph`` do: consecutive ids, each edge running from an
+        earlier vertex to the next new one.  Weights still go through
+        ``int()``.  Graphs from outside come through ``__init__`` instead.
+        """
+        g = object.__new__(cls)
+        g._set(tuple((i, int(w)) for i, w in vertices), tuple(sorted(edges)))
+        return g
+
+    def _set(self, vertices, edges) -> None:
+        """Store the fields and build the lookup maps; ``edges`` come sorted."""
+        adj = {i: [] for i, _ in vertices}
+        for i, j in edges:
+            adj[i].append(j)
+            adj[j].append(i)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         # lookup maps, not dataclass fields: they stay out of == and hash;
         # sorted edges list each vertex's neighbours in ascending order
         object.__setattr__(self, "_weight", dict(vertices))
         object.__setattr__(self, "_adj", {i: tuple(nb) for i, nb in adj.items()})
+
+    @functools.cached_property
+    def _inertia(self) -> tuple[int, int, int]:
+        """(n_plus, n_minus, n_zero) of the intersection form, computed once
+        per graph (``_tree_inertia``) and, like the lookup maps, outside ==."""
+        return _tree_inertia(self)
 
     def __len__(self):
         return len(self.vertices)
@@ -387,10 +411,13 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
 
 
 def plumbing_delta(g: PlumbingGraph, w: WuVector) -> int:
-    """sign(M) - w.M.w for a Wu vector w (integer 0/1 lift)."""
+    """sign(M) - w.M.w for a Wu vector w (integer 0/1 lift).
+
+    sign(M) is computed once per graph, however many Wu vectors are asked.
+    """
     if not _is_wu(g, w):
         raise ValueError(f"{sorted(w.support)} is not a Wu vector of the graph")
-    plus, minus, _ = _tree_inertia(g)
+    plus, minus, _ = g._inertia
     # a support vertex has an even number of support neighbours (_is_wu),
     # which in a forest means none: w.M.w has no cross terms
     return (plus - minus) - sum(g.weight(v) for v in w.support)
@@ -425,27 +452,33 @@ def blow_down(g: PlumbingGraph, w: WuVector, v: int) -> tuple[PlumbingGraph, lis
 
 
 def chain_graph(weights, start_id: int = 0) -> PlumbingGraph:
+    """Linear chain with consecutive ids from ``start_id``, in weight order."""
     weights = list(weights)
     ids = range(start_id, start_id + len(weights))
-    return PlumbingGraph(
-        list(zip(ids, weights)),
+    return PlumbingGraph._from_tree(
+        zip(ids, weights),
         [(i, i + 1) for i in ids[:-1]],
     )
 
 
 def star_graph(center_weight: int, arms) -> PlumbingGraph:
-    """Star-shaped tree: center id 0, each arm a chain hanging off it."""
-    vertices = [(0, int(center_weight))]
+    """Star-shaped tree: center id 0, each arm a chain hanging off it.
+
+    Ids are consecutive along each arm, arm after arm, and every edge joins
+    an earlier vertex to the next new one, so the result is a tree by
+    construction and is built without ``PlumbingGraph``'s re-validation.
+    """
+    vertices = [(0, center_weight)]
     edges = []
     nxt = 1
     for arm in arms:
         prev = 0
         for w in arm:
-            vertices.append((nxt, int(w)))
+            vertices.append((nxt, w))
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
-    return PlumbingGraph(vertices, edges)
+    return PlumbingGraph._from_tree(vertices, edges)
 
 
 def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:

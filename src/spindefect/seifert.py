@@ -17,7 +17,10 @@ spherical space form with three singular fibers has one).  It puts a fiber
 labelled 0 in the third slot, repairs a vanishing b_3 or a_1 b_2 + a_2 b_1
 with one even coefficient shift, splits a lens-space piece off the first
 two fibers, and adds up lens defects.  The arrangement is read off the
-labels, independently of the catalog's normalization.  ``shift_move``
+labels, independently of the catalog's normalization, and is applied to
+the (a, b) pairs directly: a fiber permutation and an even shift keep the
+gcds, the Euler number and the labels, so nothing needs re-checking.
+``shift_move`` and ``permute_fibers`` are the general moves; ``shift_move``
 transports labels formally, without re-checking the constraints, so it is
 usable on raw (a, b, c) triples too.
 """
@@ -129,17 +132,30 @@ def spin_conditions_hold(s: SeifertData, c: SpinAssignment) -> bool:
 def spin_enumerate(s: SeifertData) -> list[SpinAssignment]:
     """All labellings satisfying the spin constraints, c(h)-major order.
 
+    Built directly rather than filtered: for a given c(h), an odd a_i fixes
+    c(g_i) = b_i (a_i - c(h)) mod 2, while an even a_i (so b_i is odd) needs
+    c(h) = 0 and leaves c(g_i) free.  Of those combinations, in
+    ``itertools.product`` order, the ones with an even label sum are kept.
     A space with some even multiplicity pins c(h) = 0; an all-odd space can
     admit c(h) = 1 labellings too.  Spherical spaces always have a 2-fiber,
     so there the list never contains ch = 1.
     """
-    m = len(s)
     out = []
     for ch in (0, 1):
-        for bits in itertools.product((0, 1), repeat=m):
-            c = SpinAssignment(bits, ch)
-            if spin_conditions_hold(s, c):
-                out.append(c)
+        choices = []
+        for a, b in s:
+            if a % 2:
+                choices.append((b * (a - ch) % 2,))
+            elif ch:
+                break  # b odd: b c(h) = 0 mod 2 fails
+            else:
+                choices.append((0, 1))
+        else:
+            out.extend(
+                SpinAssignment(bits, ch)
+                for bits in itertools.product(*choices)
+                if sum(bits) % 2 == 0
+            )
     if not out:
         raise NoSpinForm(f"{s.pairs} admits no spin labelling")
     return out
@@ -213,41 +229,47 @@ class LensSpace:
 # the engine
 
 
-def _engine_value(pairs, cg, ch, u1, v1) -> Fraction:
+def _engine_value(pairs, cg, ch, u1, v1) -> int:
     (a1, b1), (a2, b2), (a3, b3) = pairs
     q_split = a1 * b2 + a2 * b1
     p_split = a2 * v1 + b2 * u1
     # meridian label of the splitting torus; eps = +1 iff the label is 1
     cm = (u1 * cg[0] + v1 * ch + u1 * v1) % 2
     eps = 1 if cm == 1 else -1
-    # self-pairing of the section class after splitting; nonzero iff e != 0
-    s0 = Fraction(a1 * a2, q_split) + Fraction(a3, b3)
-    if s0 == 0:
+    # self-pairing s0 = a1 a2 / q_split + a3 / b3 of the section class after
+    # splitting, nonzero iff e != 0; only its sign enters
+    num = a1 * a2 * b3 + a3 * q_split
+    if num == 0:
         raise DegenerateEuler("splitting produced a null section class")
-    return sgn(s0) + sigma(p_split, q_split, eps) + sigma(a3, b3, -1)
+    return sgn(num) * sgn(q_split * b3) + sigma(p_split, q_split, eps) + sigma(a3, b3, -1)
 
 
-def _arrangement(s: SeifertData, c: SpinAssignment) -> tuple[SeifertData, SpinAssignment]:
-    """A presentation the splitting engine can use, for a spin labelling.
+def _arrangement(s: SeifertData, c: SpinAssignment) -> tuple[tuple, tuple[int, ...]]:
+    """(pairs, cg) of a presentation the splitting engine can use.
 
     A spin labelling has an even label sum, so some fiber has label 0 and
     the other two labels agree; the first such fiber goes to slot 3 and the
-    other two keep their order.  Even shifts leave every label alone
-    (c(h) = 0 here) and repair a vanishing b_3 or a_1 b_2 + a_2 b_1.  The
-    two cannot vanish together: that would make e = -b_3/a_3 = 0.
+    other two keep their order.  An even shift (0, k, -k) or (k, 0, -k)
+    leaves every label alone (c(h) = 0 here) and repairs a vanishing b_3 or
+    a_1 b_2 + a_2 b_1.  The two cannot vanish together: that would make
+    e = -b_3/a_3 = 0.  Both moves are applied to the tuples: they keep each
+    gcd, the Euler number and the base, so there is nothing to re-check.
     """
     third = c.cg.index(0)
-    s, c = permute_fibers(s, c, [i for i in range(3) if i != third] + [third])
-    (a1, b1), (a2, b2), (a3, b3) = s.pairs
+    order = [i for i in range(3) if i != third] + [third]
+    (a1, b1), (a2, b2), (a3, b3) = (s.pairs[i] for i in order)
+    cg = tuple(c.cg[i] for i in order)
     if b3 == 0:
         # (0, k, -k) moves a1 b2 + a2 b1 by -k a1 a2; pick the k that keeps it nonzero
         k = 2 if a1 * b2 + a2 * b1 != 2 * a1 * a2 else -2
-        return shift_move(s, c, (0, k, -k))
-    if a1 * b2 + a2 * b1 == 0:
+        b2 -= a2 * k
+        b3 += a3 * k
+    elif a1 * b2 + a2 * b1 == 0:
         # (k, 0, -k) moves b3 by k a3 and makes a1 b2 + a2 b1 = -k a1 a2
         k = 2 if b3 != -2 * a3 else -2
-        return shift_move(s, c, (k, 0, -k))
-    return s, c
+        b1 -= a1 * k
+        b3 += a3 * k
+    return ((a1, b1), (a2, b2), (a3, b3)), cg
 
 
 def delta_engine(s: SeifertData, c: SpinAssignment) -> int:
@@ -272,14 +294,14 @@ def delta_engine(s: SeifertData, c: SpinAssignment) -> int:
         )
     if not spin_conditions_hold(s, c):
         raise NoSpinForm(f"labels {c.cg};{c.ch} are not a spin structure on {s.pairs}")
-    sp, cp = _arrangement(s, c)
-    a1, b1 = sp.pairs[0]
+    pairs, cg = _arrangement(s, c)
+    a1, b1 = pairs[0]
     # a1 v1 - b1 u1 = 1 via the extended Euclidean identity
     g, x, y = _egcd(a1, b1)
     assert g == 1
     v1, u1 = x, -y
-    value = _engine_value(sp.pairs, cp.cg, cp.ch, u1, v1)
-    assert value.denominator == 1, f"non-integral defect {value} from {sp.pairs}"
+    value = _engine_value(pairs, cg, c.ch, u1, v1)
+    assert value.denominator == 1, f"non-integral defect {value} from {pairs}"
     return int(value)
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spindefect
+from spindefect import plumbing
 from spindefect.catalog import delta, instantiate_case, iter_cases
 from spindefect.errors import NoSolution, NoSpinForm
 from spindefect.plumbing import (
@@ -457,6 +458,57 @@ def test_star_and_parse_star():
         parse_star("(2; ; 3)")
     with pytest.raises(ValueError):
         parse_star("(2; x)")
+
+
+def _validated_star(center, arms):
+    """The star through the public, validating constructor."""
+    vertices, edges, nxt = [(0, center)], [], 1
+    for arm in arms:
+        prev = 0
+        for w in arm:
+            vertices.append((nxt, w))
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return PlumbingGraph(vertices, edges)
+
+
+def _assert_same_graph(g, h):
+    assert (g.vertices, g.edges) == (h.vertices, h.edges) and g == h
+    assert g._weight == h._weight and g._adj == h._adj
+    assert all(type(w) is int for _, w in g.vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=20), st.integers(-3, 3))
+def test_chain_graph_matches_the_validating_constructor(weights, start_id):
+    ids = range(start_id, start_id + len(weights))
+    _assert_same_graph(
+        chain_graph(np.array(weights, dtype=np.int64), start_id),
+        PlumbingGraph(list(zip(ids, weights)), [(i, i + 1) for i in ids[:-1]]),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-5, 5), st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=6), max_size=5))
+def test_star_builders_match_the_validating_constructor(center, arms):
+    expected = _validated_star(center, arms)
+    _assert_same_graph(star_graph(center, arms), expected)
+    text = "(" + "; ".join([str(center)] + [",".join(map(str, arm)) for arm in arms]) + ")"
+    _assert_same_graph(parse_star(text), expected)
+
+
+def test_inertia_is_computed_once_per_graph(monkeypatch):
+    g = star_graph(0, [(0,), (2,), (-2, 1), (3,)])
+    h = star_graph(0, [(0,), (2,), (-2, 1), (3,)])
+    calls = []
+    real = plumbing._tree_inertia
+    monkeypatch.setattr(plumbing, "_tree_inertia", lambda g: calls.append(g) or real(g))
+    deltas = [plumbing_delta(g, w) for w in wu_solutions(g)]
+    assert len(deltas) > 1 and len(calls) == 1
+    assert g._inertia == real(g) == signature(intersection_matrix(g))
+    # a cached value, like the lookup maps, stays out of ==, hash and repr
+    assert g == h and hash(g) == hash(h) and "_inertia" not in repr(g)
 
 
 def test_json_roundtrip():

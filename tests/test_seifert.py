@@ -1,8 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spindefect.errors import (
@@ -83,6 +84,59 @@ def test_all_odd_multiplicities_allow_ch_one():
     assert [(c.cg, c.ch) for c in out] == [((0,), 1)]
 
 
+_PLATONIC = [(2, 2, n) for n in range(2, 13)] + [(2, 3, 3), (2, 3, 4), (2, 3, 5)]
+
+
+@st.composite
+def seifert_data(draw, min_fibers=1):
+    """One to three fibers with a <= 12 and |b| <= 30.  Three fibers are a
+    permuted spherical triple or carry an a = 1 fiber; a fiber may mirror
+    another's (a, -b), so that a_1 b_2 + a_2 b_1 can vanish."""
+    m = draw(st.integers(min_fibers, 3))
+    if m == 3 and draw(st.booleans()):
+        mults = list(draw(st.permutations(draw(st.sampled_from(_PLATONIC)))))
+    else:
+        mults = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+        if m == 3:
+            mults[draw(st.integers(0, 2))] = 1
+    pairs = [
+        (a, draw(st.integers(-30, 30).filter(lambda b, a=a: math.gcd(a, b) == 1)))
+        for a in mults
+    ]
+    if m > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(m)))[:2]
+        pairs[j] = (pairs[i][0], -pairs[i][1])
+    try:
+        return SeifertData(pairs)
+    except (ValueError, DegenerateEuler):
+        assume(False)
+
+
+def _spin_enumerate_by_filtering(s):
+    """Every candidate labelling, c(h)-major, filtered by the spin conditions."""
+    out = []
+    for ch in (0, 1):
+        for bits in itertools.product((0, 1), repeat=len(s)):
+            c = SpinAssignment(bits, ch)
+            if spin_conditions_hold(s, c):
+                out.append(c)
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(seifert_data())
+@example(SeifertData([(1, 1), (3, 1), (5, 2)]))  # all odd: c(h) = 1 and c(h) = 0
+@example(SeifertData([(1, 2), (3, 1), (5, 2)]))  # all odd, odd b-sum: c(h) = 1 only
+@example(SeifertData([(3, 1), (5, -2)]))
+def test_spin_enumerate_matches_the_filtered_product(s):
+    expected = _spin_enumerate_by_filtering(s)
+    if not expected:
+        with pytest.raises(NoSpinForm):
+            spin_enumerate(s)
+    else:
+        assert spin_enumerate(s) == expected
+
+
 def test_shift_move_transport():
     s = SeifertData([(2, 1), (3, 1), (5, -4)])
     c = SpinAssignment((1, 1, 0))
@@ -139,10 +193,40 @@ def test_engine_worked_examples():
 ])
 def test_arrangement_rule_branches(pairs, cg, arranged, value):
     s, c = SeifertData(pairs), SpinAssignment(cg)
-    sp, cp = _arrangement(s, c)
-    assert sp.pairs == arranged
-    assert cp.cg[2] == 0 and cp.cg[0] == cp.cg[1]
+    got, cg = _arrangement(s, c)
+    assert got == arranged
+    assert cg[2] == 0 and cg[0] == cg[1]
     assert delta_engine(s, c) == value
+
+
+def _arrangement_by_moves(s, c):
+    """The arrangement through ``permute_fibers`` and ``shift_move``, each
+    building and re-checking a ``SeifertData``."""
+    third = c.cg.index(0)
+    s, c = permute_fibers(s, c, [i for i in range(3) if i != third] + [third])
+    (a1, b1), (a2, b2), (a3, b3) = s.pairs
+    if b3 == 0:
+        k = 2 if a1 * b2 + a2 * b1 != 2 * a1 * a2 else -2
+        s, c = shift_move(s, c, (0, k, -k))
+    elif a1 * b2 + a2 * b1 == 0:
+        k = 2 if b3 != -2 * a3 else -2
+        s, c = shift_move(s, c, (k, 0, -k))
+    return s.pairs, c.cg
+
+
+@settings(max_examples=400, deadline=None)
+@given(seifert_data(min_fibers=3), st.data())
+@example(SeifertData([(2, -9), (2, -9), (2, 9)]), None)
+@example(SeifertData([(1, -9), (1, 0), (2, -9)]), None)
+@example(SeifertData([(1, -2), (2, -9), (2, 9)]), None)
+def test_arrangement_matches_the_permute_and_shift_moves(s, data):
+    assume(any(a % 2 == 0 for a in s.multiplicities))
+    spins = spin_enumerate(s)
+    c = spins[0] if data is None else data.draw(st.sampled_from(spins))
+    pairs, cg = _arrangement(s, c)
+    assert (pairs, cg) == _arrangement_by_moves(s, c)
+    (a1, b1), (a2, b2), (a3, b3) = pairs
+    assert b3 != 0 and a1 * b2 + a2 * b1 != 0
 
 
 def test_engine_agrees_with_plumbing_on_a_repaired_arrangement():
