@@ -37,6 +37,7 @@ from .seifert import (
     LensSpace,
     SeifertData,
     SpinAssignment,
+    _euler_numerator,
     delta_engine,
     reverse_orientation,
     spin_conditions_hold,
@@ -87,10 +88,11 @@ class DeltaCaseId:
 
 # --- constant rows of the T/O/I families -----------------------------------
 #
-# Third coefficient b3 = slope*k + offset in the printed orientation; rows
-# with t = +1 carry (2,1),(3,1) and k >= 0, rows with t = -1 carry
-# (2,-1),(3,-1) and k <= -1.  c3 is the printed third spin label where the
-# family has two structures (O only); eps tags the sub-rows of the +-eps rows.
+# Third coefficient b3 = 2*t*a3*k + offset in the printed orientation, with
+# a3 = 3, 4, 5 fixed by the family; rows with t = +1 carry (2,1),(3,1) and
+# k >= 0, rows with t = -1 carry (2,-1),(3,-1) and k <= -1.  c3 is the
+# printed third spin label where the family has two structures (O only);
+# eps tags the sub-rows of the +-eps rows.
 
 
 @dataclass(frozen=True)
@@ -98,15 +100,17 @@ class _ConstRow:
     family: str
     label: str
     t: int
-    a3: int
-    slope: int
     offset: int
     delta: int
     c3: int | None = None
     eps: int | None = None
 
+    @property
+    def a3(self) -> int:
+        return _A3_OF_FAMILY[self.family]
+
     def b3_of(self, k: int) -> int:
-        return self.slope * k + self.offset
+        return 2 * self.t * self.a3 * k + self.offset
 
     def k_in_range(self, k: int) -> bool:
         return k >= 0 if self.t == 1 else k <= -1
@@ -116,47 +120,48 @@ class _ConstRow:
 
 
 _CONST_ROWS = [
-    _ConstRow(FAMILY_T, "3-1", +1, 3, 6, 2, -2),
-    _ConstRow(FAMILY_T, "3-2", -1, 3, -6, -2, 0),
-    _ConstRow(FAMILY_T, "3-3", +1, 3, 6, -2, -6),
-    _ConstRow(FAMILY_T, "3-4", -1, 3, -6, 2, 4),
-    _ConstRow(FAMILY_T, "3-5", +1, 3, 6, 1, -4),
-    _ConstRow(FAMILY_T, "3-6", -1, 3, -6, -1, 2),
-    _ConstRow(FAMILY_O, "4-1", +1, 4, 8, 1, -3, c3=0),
-    _ConstRow(FAMILY_O, "4-2", +1, 4, 8, 1, -5, c3=1),
-    _ConstRow(FAMILY_O, "4-3", -1, 4, -8, -1, 1, c3=0),
-    _ConstRow(FAMILY_O, "4-4", -1, 4, -8, -1, 3, c3=1),
-    _ConstRow(FAMILY_O, "4-5", +1, 4, 8, -1, -5, c3=0),
-    _ConstRow(FAMILY_O, "4-6", +1, 4, 8, -1, 1, c3=1),
-    _ConstRow(FAMILY_O, "4-7", -1, 4, -8, 1, 3, c3=0),
-    _ConstRow(FAMILY_O, "4-8", -1, 4, -8, 1, -3, c3=1),
-    _ConstRow(FAMILY_O, "4-9", +1, 4, 8, 3, -1, c3=0),
-    _ConstRow(FAMILY_O, "4-10", +1, 4, 8, 3, -3, c3=1),
-    _ConstRow(FAMILY_O, "4-11", -1, 4, -8, -3, -1, c3=0),
-    _ConstRow(FAMILY_O, "4-12", -1, 4, -8, -3, 1, c3=1),
-    _ConstRow(FAMILY_O, "4-13", +1, 4, 8, -3, -7, c3=0),
-    _ConstRow(FAMILY_O, "4-14", +1, 4, 8, -3, -1, c3=1),
-    _ConstRow(FAMILY_O, "4-15", -1, 4, -8, 3, 5, c3=0),
-    _ConstRow(FAMILY_O, "4-16", -1, 4, -8, 3, -1, c3=1),
-    _ConstRow(FAMILY_I, "5-1-ε", +1, 5, 10, 2, -4, eps=+1),
-    _ConstRow(FAMILY_I, "5-1-ε", +1, 5, 10, -2, -4, eps=-1),
-    _ConstRow(FAMILY_I, "5-2-ε", -1, 5, -10, -2, 2, eps=+1),
-    _ConstRow(FAMILY_I, "5-2-ε", -1, 5, -10, 2, 2, eps=-1),
-    _ConstRow(FAMILY_I, "5-3", +1, 5, 10, 4, 0),
-    _ConstRow(FAMILY_I, "5-4", -1, 5, -10, -4, -2),
-    _ConstRow(FAMILY_I, "5-5", +1, 5, 10, -4, -8),
-    _ConstRow(FAMILY_I, "5-6", -1, 5, -10, 4, 6),
-    _ConstRow(FAMILY_I, "5-7", +1, 5, 10, 1, -6),
-    _ConstRow(FAMILY_I, "5-8", -1, 5, -10, -1, 4),
-    _ConstRow(FAMILY_I, "5-9", +1, 5, 10, -1, 2),
-    _ConstRow(FAMILY_I, "5-10", -1, 5, -10, 1, -4),
-    _ConstRow(FAMILY_I, "5-11-ε", +1, 5, 10, 3, -2, eps=+1),
-    _ConstRow(FAMILY_I, "5-11-ε", +1, 5, 10, -3, -2, eps=-1),
-    _ConstRow(FAMILY_I, "5-12-ε", -1, 5, -10, -3, 0, eps=+1),
-    _ConstRow(FAMILY_I, "5-12-ε", -1, 5, -10, 3, 0, eps=-1),
+    _ConstRow(FAMILY_T, "3-1", +1, 2, -2),
+    _ConstRow(FAMILY_T, "3-2", -1, -2, 0),
+    _ConstRow(FAMILY_T, "3-3", +1, -2, -6),
+    _ConstRow(FAMILY_T, "3-4", -1, 2, 4),
+    _ConstRow(FAMILY_T, "3-5", +1, 1, -4),
+    _ConstRow(FAMILY_T, "3-6", -1, -1, 2),
+    _ConstRow(FAMILY_O, "4-1", +1, 1, -3, c3=0),
+    _ConstRow(FAMILY_O, "4-2", +1, 1, -5, c3=1),
+    _ConstRow(FAMILY_O, "4-3", -1, -1, 1, c3=0),
+    _ConstRow(FAMILY_O, "4-4", -1, -1, 3, c3=1),
+    _ConstRow(FAMILY_O, "4-5", +1, -1, -5, c3=0),
+    _ConstRow(FAMILY_O, "4-6", +1, -1, 1, c3=1),
+    _ConstRow(FAMILY_O, "4-7", -1, 1, 3, c3=0),
+    _ConstRow(FAMILY_O, "4-8", -1, 1, -3, c3=1),
+    _ConstRow(FAMILY_O, "4-9", +1, 3, -1, c3=0),
+    _ConstRow(FAMILY_O, "4-10", +1, 3, -3, c3=1),
+    _ConstRow(FAMILY_O, "4-11", -1, -3, -1, c3=0),
+    _ConstRow(FAMILY_O, "4-12", -1, -3, 1, c3=1),
+    _ConstRow(FAMILY_O, "4-13", +1, -3, -7, c3=0),
+    _ConstRow(FAMILY_O, "4-14", +1, -3, -1, c3=1),
+    _ConstRow(FAMILY_O, "4-15", -1, 3, 5, c3=0),
+    _ConstRow(FAMILY_O, "4-16", -1, 3, -1, c3=1),
+    _ConstRow(FAMILY_I, "5-1-ε", +1, 2, -4, eps=+1),
+    _ConstRow(FAMILY_I, "5-1-ε", +1, -2, -4, eps=-1),
+    _ConstRow(FAMILY_I, "5-2-ε", -1, -2, 2, eps=+1),
+    _ConstRow(FAMILY_I, "5-2-ε", -1, 2, 2, eps=-1),
+    _ConstRow(FAMILY_I, "5-3", +1, 4, 0),
+    _ConstRow(FAMILY_I, "5-4", -1, -4, -2),
+    _ConstRow(FAMILY_I, "5-5", +1, -4, -8),
+    _ConstRow(FAMILY_I, "5-6", -1, 4, 6),
+    _ConstRow(FAMILY_I, "5-7", +1, 1, -6),
+    _ConstRow(FAMILY_I, "5-8", -1, -1, 4),
+    _ConstRow(FAMILY_I, "5-9", +1, -1, 2),
+    _ConstRow(FAMILY_I, "5-10", -1, 1, -4),
+    _ConstRow(FAMILY_I, "5-11-ε", +1, 3, -2, eps=+1),
+    _ConstRow(FAMILY_I, "5-11-ε", +1, -3, -2, eps=-1),
+    _ConstRow(FAMILY_I, "5-12-ε", -1, -3, 0, eps=+1),
+    _ConstRow(FAMILY_I, "5-12-ε", -1, 3, 0, eps=-1),
 ]
 
 _FAMILY_OF_A3 = {3: FAMILY_T, 4: FAMILY_O, 5: FAMILY_I}
+_A3_OF_FAMILY = {family: a3 for a3, family in _FAMILY_OF_A3.items()}
 
 
 def _const_row(label: str, eps: int | None) -> _ConstRow:
@@ -229,7 +234,7 @@ def classify(s: SeifertData, c: SpinAssignment) -> DeltaCaseId:
         )
     if not spin_conditions_hold(s, c):
         raise NoSpinForm(f"labels {c.cg};{c.ch} are not a spin structure on {s.pairs}")
-    reversed_flag = _euler_positive(s)
+    reversed_flag = _euler_numerator(s.pairs) < 0  # e > 0
     sign = -1 if reversed_flag else 1
     # c(h) = 0 on every spherical form (each has a 2-fiber), so a shift by
     # k_i moves the label c(g_i) by k_i mod 2
@@ -244,13 +249,6 @@ def classify(s: SeifertData, c: SpinAssignment) -> DeltaCaseId:
         # fall-through means the tables or the normalizer are broken
         raise InternalDisagreement(f"no catalog row matched {s.pairs} / {c.cg}")
     return case
-
-
-def _euler_positive(s) -> bool:
-    """Whether e = -sum(b_i / a_i) > 0, in integers: with A the product of
-    the (positive) multiplicities, e > 0 iff sum(b_i * A / a_i) < 0."""
-    prod = math.prod(a for a, _ in s)
-    return sum(b * (prod // a) for a, b in s) < 0
 
 
 def _classify_dihedral(fibers, reversed_flag: bool) -> DeltaCaseId | None:
@@ -288,10 +286,11 @@ def _classify_polyhedral(fibers, a3: int, reversed_flag: bool) -> DeltaCaseId | 
         second, third = third, second
         t, b3, c3 = _polyhedral_form(first, second, third)
     family = _FAMILY_OF_A3[a3]
+    slope = 2 * t * a3
     for row in _CONST_ROWS:
         if row.family != family or row.t != t or row.c3 not in (None, c3):
             continue
-        k, rem = divmod(b3 - row.offset, row.slope)
+        k, rem = divmod(b3 - row.offset, slope)
         if rem == 0 and row.k_in_range(k):
             return DeltaCaseId(family, row.label, row.params(k), reversed_flag)
     return None

@@ -89,6 +89,21 @@ def _lens_from_args(args) -> LensSpace:
     return LensSpace(p, q, eps)
 
 
+def _space_from_args(args):
+    """(space, labels, input echo) from --lens, or --seifert with --spin.
+
+    The labels are None for a lens space, whose structure is its eps.
+    """
+    if args.lens:
+        lens = _lens_from_args(args)
+        return lens, None, {"lens": [lens.p, lens.q], "eps": lens.eps}
+    if not args.seifert or not args.spin:
+        raise ValueError("need --seifert with --spin, or --lens")
+    s = parse_seifert(args.seifert)
+    c = parse_spin(args.spin, len(s))
+    return s, c, {"seifert": _fmt_seifert(s), "spin": _fmt_spin(c)}
+
+
 def _case_payload(case: DeltaCaseId) -> dict:
     return {
         "family": case.family,
@@ -189,11 +204,14 @@ def _graph_from_args(args) -> tuple[PlumbingGraph, WuVector | None]:
     if args.star:
         return parse_star(args.star), None
     if args.graph:
-        if args.graph == "-":
-            doc = json.load(sys.stdin)
-        else:
-            with open(args.graph) as fh:
-                doc = json.load(fh)
+        try:
+            if args.graph == "-":
+                doc = json.load(sys.stdin)
+            else:
+                with open(args.graph) as fh:
+                    doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("graph JSON is nested too deeply") from None
         return graph_from_json(doc)
     raise ValueError("need --star or --graph")
 
@@ -230,19 +248,12 @@ def cmd_plumbing(args) -> int:
 
 
 def cmd_seifert_to_plumbing(args) -> int:
-    if args.lens:
-        lens = _lens_from_args(args)
-        g, w = seifert_to_plumbing(lens)
-        source = {"lens": [lens.p, lens.q], "eps": lens.eps}
-        label = f"L({lens.p},{lens.q}) eps={lens.eps:+d}"
+    space, c, source = _space_from_args(args)
+    g, w = seifert_to_plumbing(space, c)
+    if isinstance(space, LensSpace):
+        label = f"L({space.p},{space.q}) eps={space.eps:+d}"
     else:
-        if not args.seifert or not args.spin:
-            raise ValueError("need --seifert with --spin, or --lens")
-        s = parse_seifert(args.seifert)
-        c = parse_spin(args.spin, len(s))
-        g, w = seifert_to_plumbing(s, c)
-        source = {"seifert": _fmt_seifert(s), "spin": _fmt_spin(c)}
-        label = _fmt_seifert(s)
+        label = _fmt_seifert(space)
     plus, minus, zero = g._inertia
     d = plumbing_delta(g, w)
     lines = [
@@ -301,17 +312,8 @@ def cmd_definite(args) -> int:
 
 
 def cmd_cobordism(args) -> int:
-    if args.lens:
-        target = _lens_from_args(args)
-        cert = cobordism_order_certificate(target)
-        source = {"lens": [target.p, target.q], "eps": target.eps}
-    else:
-        if not args.seifert or not args.spin:
-            raise ValueError("need --seifert with --spin, or --lens")
-        s = parse_seifert(args.seifert)
-        c = parse_spin(args.spin, len(s))
-        cert = cobordism_order_certificate(s, c)
-        source = {"seifert": _fmt_seifert(s), "spin": _fmt_spin(c)}
+    space, c, source = _space_from_args(args)
+    cert = cobordism_order_certificate(space, c)
     lines = [f"delta = {cert.delta}"]
     if not cert.z2_homology_sphere:
         lines.append("not a Z2 homology sphere: no cobordism-order conclusion")

@@ -12,6 +12,8 @@ trichotomy; everything else in the module -- spin-filling feasibility,
 definite-signature forcing, homology-cobordism order certificates, RP^2
 normal-Euler-number constraints, characteristic-sphere bounds -- is a thin
 adapter assembling the right shape and defect and delegating to it.
+Definite forcing reads its answer off a closed form in |delta| and has the
+kernel confirm the one counterexample shape it reports.
 
 Verdicts state consistency only: Excluded is a proof of non-existence, while
 ForcedEqual/RangeAdmissible never claim a filling exists.
@@ -25,7 +27,7 @@ from typing import Mapping
 
 from . import catalog
 from .errors import InternalDisagreement
-from .seifert import LensSpace, SeifertData
+from .seifert import LensSpace, _euler_numerator
 
 __all__ = [
     "VerdictStatus",
@@ -122,7 +124,7 @@ def spin_filling_feasible(y: FourManifoldShape, delta_s: int) -> TenEighthsVerdi
 
 @dataclass(frozen=True)
 class DefiniteForcing:
-    """Outcome of the definite-filling scan for one defect value."""
+    """Definite-filling forcing for one defect value."""
 
     delta: int
     forced: bool  # every definite spin filling must have sign = delta
@@ -139,34 +141,30 @@ class DefiniteForcing:
 def definite_filling_signature(delta_s: int, scan_limit: int = 64) -> DefiniteForcing:
     """Definite spin fillings must carry sign = delta when |delta| <= 18.
 
-    The claim is re-verified, not just quoted: every definite shape with
-    second Betti number up to ``scan_limit`` is pushed through
-    spin_filling_feasible, and a non-Excluded shape with sign != delta
-    inside the |delta| <= 18 regime raises InternalDisagreement.  Outside
-    the regime the first surviving shape is reported as the counterexample
-    witnessing that the criterion says nothing.
+    Closed form: a definite shape with sign != delta escapes exclusion
+    exactly when its sign has the sign of delta and its second Betti number
+    b satisfies b = |delta| (mod 16) and (|delta| + 8)/9 <= b <= |delta| - 16.
+    So only the least b = |delta| (mod 16) with (|delta| + 8)/9 <= b needs
+    testing: the forcing holds exactly when b > |delta| - 16, that is when
+    |delta| <= 18.  Otherwise the shape of Betti number b with the sign of
+    delta is the first survivor of a scan over b; it is reported when
+    b <= ``scan_limit`` and confirmed by the 10/8 kernel.
     """
     if scan_limit < 0:
         raise ValueError(f"scan_limit must be >= 0, got {scan_limit}")
-    forced = abs(delta_s) <= 18
+    d = abs(delta_s)
+    lo = -(-(d + 8) // 9)  # ceil((|delta| + 8) / 9)
+    b = lo + (d - lo) % 16
+    forced = b > d - 16
     counterexample = None
-    for b in range(scan_limit + 1):
-        for shape in (
-            FourManifoldShape(b, 0, b),
-            FourManifoldShape(0, b, -b),
-        ):
-            if shape.sign == delta_s:
-                continue
-            if not spin_filling_feasible(shape, delta_s).excluded:
-                if forced:
-                    raise InternalDisagreement(
-                        f"definite shape {shape} survives the 10/8 scan "
-                        f"at delta = {delta_s} inside the forcing range"
-                    )
-                if counterexample is None:
-                    counterexample = shape
-            if b == 0:
-                break  # (0,0,0) only once
+    if not forced and b <= scan_limit:
+        shape = FourManifoldShape(b, 0, b)
+        counterexample = shape if delta_s > 0 else shape.mirror()
+        if spin_filling_feasible(counterexample, delta_s).excluded:
+            raise InternalDisagreement(
+                f"closed-form survivor {counterexample} is excluded by the "
+                f"10/8 kernel at delta = {delta_s}"
+            )
     return DefiniteForcing(delta_s, forced, scan_limit, counterexample)
 
 
@@ -190,21 +188,8 @@ def cobordism_order_certificate(s, c=None) -> CobordismCertificate:
     if isinstance(s, LensSpace):
         odd = s.p % 2 == 1
     else:
-        odd = _h1_order(s) % 2 == 1
+        odd = _euler_numerator(s.pairs) % 2 == 1  # |H_1| = |numerator|
     return CobordismCertificate(value, value != 0, odd)
-
-
-def _h1_order(s: SeifertData) -> int:
-    # |H_1| = |a_1 a_2 a_3 e| for three-fiber data with e != 0
-    total = 0
-    pairs = s.pairs
-    for i, (_, b) in enumerate(pairs):
-        prod = b
-        for j, (a, _) in enumerate(pairs):
-            if j != i:
-                prod *= a
-        total += prod
-    return abs(total)
 
 
 @dataclass(frozen=True)

@@ -522,20 +522,12 @@ def _lens_to_plumbing(lens: LensSpace) -> tuple[PlumbingGraph, WuVector]:
     p, q, eps = lens.p, lens.q, lens.eps
     if p == 1:
         return PlumbingGraph([], []), WuVector()
-    # pick the representative q' of {q, q+p} mod 2p in (-p, p) carrying the
-    # requested structure: for p even the eps = -1 chain has q' = q mod 2p,
-    # the eps = +1 chain q' = q+p; for p odd the even q' is the spin one
-    candidates = []
-    for shift in (0, p):
-        r = (q + shift) % (2 * p)
-        if r >= p:
-            r -= 2 * p
-        candidates.append((shift, r))
-    if p % 2 == 0:
-        want = 0 if eps == -1 else 1
-        qp = next(r for shift, r in candidates if (shift // p) % 2 == want)
-    else:
-        qp = next(r for _, r in candidates if r % 2 == 0)
+    # the eps = -1 chain expands q' = q, the eps = +1 chain q' = q + p, with
+    # q' reduced mod 2p into (-p, p); for p odd the admissible eps makes q'
+    # even, which is the spin chain
+    qp = (q + (p if eps == 1 else 0)) % (2 * p)
+    if qp >= p:
+        qp -= 2 * p
     g = chain_graph(even_cf_expand(-p, qp))
     w = WuVector()
     assert _is_wu(g, w)

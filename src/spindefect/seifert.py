@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateEuler, NoAdmissibleRearrangement, NoSpinForm
-from .sigma import sgn, sigma
+from .sigma import is_spin_sign_admissible, sgn, sigma
 
 __all__ = [
     "SeifertData",
@@ -66,7 +66,7 @@ class SeifertData:
                 raise ValueError(f"fiber multiplicity must be >= 1, got a = {a}")
             if math.gcd(a, b) != 1:
                 raise ValueError(f"(a, b) = ({a}, {b}) is not coprime")
-        if sum(Fraction(b, a) for a, b in pairs) == 0:
+        if _euler_numerator(pairs) == 0:
             raise DegenerateEuler(f"Euler number of {pairs} vanishes")
         mults = sorted(a for a, _ in pairs)
         if len(pairs) == 3 and mults[0] >= 2 and not _platonic(mults):
@@ -106,6 +106,15 @@ def _platonic(sorted_mults) -> bool:
 def euler_number(s: SeifertData) -> Fraction:
     """e = -sum(b_i / a_i), exactly."""
     return -sum(Fraction(b, a) for a, b in s)
+
+
+def _euler_numerator(pairs) -> int:
+    """N = sum(b_i * A / a_i) with A = prod(a_i), so that e = -N / A.
+
+    The a_i are positive, so e > 0 iff N < 0; for e != 0, |N| = |H_1|.
+    """
+    prod = math.prod(a for a, _ in pairs)
+    return sum(b * (prod // a) for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -213,7 +222,7 @@ class LensSpace:
             raise ValueError("eps must be +1 or -1")
         if p < 0:
             p, q = -p, -q  # L(p, q) = L(|p|, sgn(p) q)
-        if p % 2 == 1 and eps != (1 if q % 2 == 1 else -1):
+        if not is_spin_sign_admissible(q, p, eps):
             raise NoSpinForm(
                 f"L({p}, {q}) with p odd has only the eps = {(-1) ** (q - 1):+d} structure"
             )
@@ -300,9 +309,7 @@ def delta_engine(s: SeifertData, c: SpinAssignment) -> int:
     g, x, y = _egcd(a1, b1)
     assert g == 1
     v1, u1 = x, -y
-    value = _engine_value(pairs, cg, c.ch, u1, v1)
-    assert value.denominator == 1, f"non-integral defect {value} from {pairs}"
-    return int(value)
+    return _engine_value(pairs, cg, c.ch, u1, v1)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:

@@ -12,7 +12,6 @@ from spindefect.catalog import (
     FAMILY_O,
     FAMILY_T,
     DeltaCaseId,
-    _euler_positive,
     classify,
     delta,
     delta_table,
@@ -25,6 +24,7 @@ from spindefect.seifert import (
     LensSpace,
     SeifertData,
     SpinAssignment,
+    _euler_numerator,
     delta_engine,
     euler_number,
     permute_fibers,
@@ -259,10 +259,13 @@ _shift = st.integers(min_value=-50, max_value=50)
 @settings(max_examples=150, deadline=None)
 @given(_spherical_data())
 def test_integer_orientation_sign_matches_the_euler_number(s):
-    # classify reads the sign of e from integers, never from a Fraction sum
-    assert _euler_positive(s) == (euler_number(s) > 0)
+    # classify reads the sign of e from the integer numerator, never from a
+    # Fraction sum: e > 0 iff the numerator is negative
+    assert (_euler_numerator(s.pairs) < 0) == (euler_number(s) > 0)
     mirror = SeifertData([(a, -b) for a, b in s])
-    assert _euler_positive(mirror) == (euler_number(mirror) > 0) != _euler_positive(s)
+    assert _euler_numerator(mirror.pairs) == -_euler_numerator(s.pairs)
+    assert (_euler_numerator(mirror.pairs) < 0) == (euler_number(mirror) > 0)
+    assert (euler_number(mirror) > 0) != (euler_number(s) > 0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,11 +1,16 @@
+import contextlib
 import io
 import json
+import math
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from spindefect.cli import main
 from spindefect.plumbing import graph_to_json, seifert_to_plumbing
-from spindefect.seifert import SeifertData, SpinAssignment
+from spindefect.seifert import SeifertData, SpinAssignment, parse_seifert, spin_enumerate
 
 
 def run(capsys, *argv):
@@ -277,3 +282,179 @@ def test_selftest_passes(capsys):
     assert rc == 0
     assert out.splitlines()[-1] == "selftest: PASS"
     assert "sigma three-way" in out
+
+
+_DEEP = "[" * 200000 + "]" * 200000
+
+
+def test_deeply_nested_graph_json_exits_2(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    rc, out, err = run(capsys, "plumbing", "--graph", str(path))
+    assert rc == 2 and out == ""
+    assert err == "error: graph JSON is nested too deeply\n"
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(_DEEP))
+    rc, out, err = run(capsys, "plumbing", "--graph", "-")
+    assert rc == 2 and out == ""
+    assert err == "error: graph JSON is nested too deeply\n"
+
+
+# --- the exit-code contract over generated input -----------------------------
+#
+# 0 = computed, 1 = a mathematical verdict (only from the commands below),
+# 2 = bad input with "error:" or a usage line on stderr.  Any exception
+# escaping main fails the test; InternalDisagreement is the one traceback
+# the contract allows, but it means two routes disagree, so it fails too.
+# Integers stay within 10**4: sigma and evencf are linear in p on
+# run-heavy pairs.
+
+_VERDICT_COMMANDS = {"feasible", "cobordism", "rp2", "char-sphere", "selftest"}
+
+_small = st.integers(-30, 30)
+_int = st.one_of(_small, st.integers(-10**4, 10**4)).map(str)
+_count = st.integers(-1, 30).map(str)
+_junk = st.text(alphabet="()[]{},;:+-0123456789 abx\\", max_size=12)
+_PLATONIC = [(2, 2, 3), (2, 2, 4), (2, 2, 7), (2, 3, 3), (2, 3, 4), (2, 3, 5)]
+_mults = st.one_of(
+    st.sampled_from(_PLATONIC).flatmap(st.permutations),
+    st.lists(st.integers(-1, 12), min_size=1, max_size=4),
+)
+_seifert = st.one_of(
+    _mults.flatmap(lambda ms: st.tuples(*[
+        st.integers(-40, 40).filter(lambda b, a=a: math.gcd(a, b) == 1) for a in ms
+    ]).map(lambda bs: ",".join(f"({a},{b})" for a, b in zip(ms, bs)))),
+    _junk,
+)
+
+
+@st.composite
+def _seifert_with_spin(draw):
+    # spherical data with one of its spin structures, so the computing paths
+    # are reached as often as the error paths
+    text = draw(_seifert)
+    try:
+        structures = spin_enumerate(parse_seifert(text))
+    except ValueError:
+        return ["--seifert", text, "--all-spin"]
+    c = draw(st.sampled_from(structures))
+    return ["--seifert", text, "--spin", ",".join(map(str, c.cg))]
+
+
+_bits = st.one_of(
+    st.lists(st.integers(0, 1), min_size=1, max_size=4).map(lambda bs: ",".join(map(str, bs))),
+    st.lists(st.integers(-1, 2), min_size=0, max_size=4).map(lambda bs: ",".join(map(str, bs))),
+    _junk,
+)
+_spin = st.one_of(
+    st.tuples(_bits, st.sampled_from(["", ";0", ";1", ";2", ";x"])).map("".join),
+    _junk,
+)
+_star = st.one_of(
+    st.tuples(_small, st.lists(st.lists(_small, max_size=4), max_size=6)).map(
+        lambda t: "(" + "; ".join([str(t[0])] + [",".join(map(str, arm)) for arm in t[1]]) + ")"),
+    _junk,
+)
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), values).map(list)
+
+
+_lens = st.tuples(_int, _int).map(lambda pq: ["--lens", *pq])
+_coprime = st.tuples(_small, _small).filter(lambda pq: math.gcd(*pq) == 1)
+_pair = st.one_of(st.tuples(_int, _int), _coprime.map(lambda pq: tuple(map(str, pq)))).map(list)
+_eps = st.sampled_from([["--eps", "1"], ["--eps", "-1"], ["--eps", "0"]])
+_shape = [_flag("--bplus", _count), _flag("--bminus", _count)]
+_space = st.one_of(
+    st.tuples(_small, _small, st.sampled_from([[], ["--eps", "1"], ["--eps", "-1"]])).map(
+        lambda t: ["--lens", str(t[0]), str(t[1]), *t[2]]),
+    _seifert_with_spin(),
+)
+_space_flags = [_flag("--seifert", _seifert), _flag("--spin", _spin), _lens, _eps]
+
+# command -> (flags it needs, flags it may take); a required flag is
+# occasionally dropped, so missing-flag errors are drawn too
+_FLAGS = {
+    "sigma": ([_pair], [_eps]),
+    "evencf": ([_pair], []),
+    "spin-list": ([_flag("--seifert", _seifert)], []),
+    "delta": ([_space], _space_flags + [st.just(["--all-spin"])]),
+    "plumbing": ([], [_flag("--star", _star), st.just(["--graph", "-"]), _flag("--wu", _bits)]),
+    "seifert-to-plumbing": ([_space], _space_flags),
+    "feasible": (_shape + [_flag("--delta", _int)], [_flag("--sign", _int)]),
+    "definite": ([_flag("--delta", _int)], [_flag("--scan-limit", _int)]),
+    "cobordism": ([_space], _space_flags),
+    "rp2": (_shape + [_flag("--euler", _int)], [_flag("--sign", _int)]),
+    "char-sphere": (_shape + [_flag("--square", _int)], [_flag("--sign", _int)]),
+    "selftest": ([], []),
+}
+
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_vertex = st.fixed_dictionaries({"id": st.integers(-2, 8), "weight": _small})
+_graph_doc = st.one_of(
+    st.fixed_dictionaries(
+        {"vertices": st.lists(_vertex, max_size=8)},
+        optional={"edges": st.lists(st.lists(st.integers(-2, 8), min_size=2, max_size=2), max_size=8),
+                  "wu": st.lists(st.integers(-1, 2), max_size=8)},
+    ).map(json.dumps),
+    _json_value.map(json.dumps),
+    st.text(alphabet='[]{}",:0123456789 -', max_size=30),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    required, optional = _FLAGS[command]
+    flags = [f for f in required if draw(st.integers(0, 19)) < 19]
+    if optional:
+        flags += draw(st.lists(st.sampled_from(optional), unique_by=id, max_size=4))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv += draw(flag)
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.integers(0, 9)) == 9:
+        argv.insert(draw(st.integers(1, len(argv))), draw(_junk))
+    if draw(st.integers(0, 49)) == 49:
+        argv[0] = draw(_junk)
+    return argv
+
+
+_outcomes = {}
+
+
+def _run_main(argv, stdin):
+    # main is deterministic in argv and, with --graph, in stdin, so each
+    # distinct input runs once; that keeps repeated draws of selftest cheap
+    key = (tuple(argv), stdin if "--graph" in argv else None)
+    if key not in _outcomes:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch("sys.stdin", io.StringIO(stdin)):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                rc = exc.code
+        _outcomes[key] = rc, out.getvalue(), err.getvalue()
+    return _outcomes[key]
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_argv(), _graph_doc)
+@example(["plumbing", "--graph", "-"], _DEEP)
+@example(["selftest"], "")
+@example(["definite", "--delta", "26", "--scan-limit", "10000"], "")
+def test_exit_code_contract(argv, stdin):
+    rc, out, err = _run_main(argv, stdin)
+    assert rc in (0, 1, 2), (argv, rc)
+    if rc == 1:
+        assert argv[0] in _VERDICT_COMMANDS, argv
+    if rc == 2:
+        assert err.startswith(("error:", "usage:")), (argv, err)

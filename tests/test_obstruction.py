@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
-from spindefect.catalog import DeltaCaseId, FAMILY_I, FAMILY_T, instantiate_case
+from spindefect.catalog import DeltaCaseId, FAMILY_I, FAMILY_T, instantiate_case, iter_cases
 from spindefect.errors import InternalDisagreement
 from spindefect.obstruction import (
+    DefiniteForcing,
     FourManifoldShape,
     VerdictStatus,
     characteristic_sphere_check,
@@ -13,7 +16,7 @@ from spindefect.obstruction import (
     ten_eighths_verdict,
     verdict_report,
 )
-from spindefect.seifert import LensSpace, SeifertData, spin_enumerate
+from spindefect.seifert import LensSpace, SeifertData, euler_number, spin_enumerate
 
 
 def random_shape(rng, b_max=24):
@@ -86,6 +89,38 @@ def test_feasible_matches_the_literal_inequalities(rng):
             assert y.sign == d
 
 
+def definite_scan(delta_s, scan_limit=64):
+    """The definite-forcing oracle: push every definite shape with second
+    Betti number up to scan_limit through the 10/8 kernel.
+
+    A non-Excluded shape with sign != delta inside |delta| <= 18 raises
+    InternalDisagreement; outside that regime the first survivor is the
+    counterexample.
+    """
+    if scan_limit < 0:
+        raise ValueError(f"scan_limit must be >= 0, got {scan_limit}")
+    forced = abs(delta_s) <= 18
+    counterexample = None
+    for b in range(scan_limit + 1):
+        for shape in (
+            FourManifoldShape(b, 0, b),
+            FourManifoldShape(0, b, -b),
+        ):
+            if shape.sign == delta_s:
+                continue
+            if not spin_filling_feasible(shape, delta_s).excluded:
+                if forced:
+                    raise InternalDisagreement(
+                        f"definite shape {shape} survives the 10/8 scan "
+                        f"at delta = {delta_s} inside the forcing range"
+                    )
+                if counterexample is None:
+                    counterexample = shape
+            if b == 0:
+                break  # (0,0,0) only once
+    return DefiniteForcing(delta_s, forced, scan_limit, counterexample)
+
+
 def test_definite_forcing_range():
     for d in (-18, -8, -5, 0, 5, 18):
         res = definite_filling_signature(d)
@@ -106,6 +141,20 @@ def test_definite_scan_is_verified_not_quoted():
     assert res.counterexample == FourManifoldShape(10, 0, 10)
     with pytest.raises(ValueError):
         definite_filling_signature(4, scan_limit=-1)  # would scan nothing
+
+
+def test_closed_form_forcing_matches_the_scan():
+    for limit in (0, 1, 3, 16, 17, 64, 200):
+        for d in range(-400, 401):
+            assert definite_filling_signature(d, limit) == definite_scan(d, limit), (d, limit)
+
+
+def test_closed_form_forcing_is_constant_time_in_the_limit():
+    # the scan would turn 10**12 times here
+    assert definite_filling_signature(5, 10**12).forced
+    res = definite_filling_signature(-1000, 10**12)
+    assert res.counterexample == FourManifoldShape(0, 120, -120)
+    assert res.counterexample == definite_scan(-1000, 120).counterexample
 
 
 def test_cobordism_certificates():
@@ -209,11 +258,22 @@ def test_verdict_report_structure():
 
 
 def test_forcing_window_is_scan_clean():
-    # every call re-runs the scan, so a survivor inside |delta| <= 18 would
-    # raise InternalDisagreement here instead of passing quietly
+    # the scan raises InternalDisagreement on a survivor inside |delta| <= 18,
+    # so the closed form's forcing window is checked, not quoted
     for d in range(-18, 19):
-        res = definite_filling_signature(d, scan_limit=32)
+        res = definite_scan(d, scan_limit=32)
         assert res.forced and res.counterexample is None
+        assert definite_filling_signature(d, scan_limit=32) == res
     # and the guard machinery is wired to the exception type we document
     assert issubclass(InternalDisagreement, Exception)
     assert not issubclass(InternalDisagreement, ValueError)
+
+
+def test_z2_homology_sphere_flag_is_the_parity_of_h1():
+    # |H_1| = |a_1 a_2 a_3 e|, computed here from the Fraction Euler number
+    for case in iter_cases(k_span=3, n_max=12, b_max=12):
+        s, c = instantiate_case(case)
+        h1 = abs(euler_number(s) * math.prod(a for a, _ in s))
+        assert h1.denominator == 1
+        cert = cobordism_order_certificate(s, c)
+        assert cert.z2_homology_sphere == (h1.numerator % 2 == 1), case

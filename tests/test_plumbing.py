@@ -35,7 +35,7 @@ from spindefect.plumbing import (
     wu_solutions,
 )
 from spindefect.seifert import LensSpace, SeifertData, SpinAssignment, spin_enumerate
-from spindefect.sigma import is_spin_sign_admissible, sigma
+from spindefect.sigma import even_cf_expand, is_spin_sign_admissible, sigma
 
 E8 = star_graph(-2, [(-2,), (-2, -2), (-2, -2, -2, -2)])
 
@@ -422,6 +422,45 @@ def test_lens_chains_reproduce_the_lens_defect():
                 assert w == WuVector()
                 assert all(wt % 2 == 0 for _, wt in g.vertices)
                 assert plumbing_delta(g, w) == sigma(q, p, eps)
+
+
+def _lens_chain_by_candidates(lens):
+    """The lens chain by the two-candidate selection: of the representatives
+    of q and q + p mod 2p in (-p, p), p even takes the one the shift names
+    and p odd takes the even one."""
+    p, q, eps = lens.p, lens.q, lens.eps
+    if p == 1:
+        return PlumbingGraph([], [])
+    candidates = []
+    for shift in (0, p):
+        r = (q + shift) % (2 * p)
+        if r >= p:
+            r -= 2 * p
+        candidates.append((shift, r))
+    if p % 2 == 0:
+        want = 0 if eps == -1 else 1
+        qp = next(r for shift, r in candidates if (shift // p) % 2 == want)
+    else:
+        qp = next(r for _, r in candidates if r % 2 == 0)
+    return chain_graph(even_cf_expand(-p, qp))
+
+
+def test_lens_chain_matches_the_two_candidate_selection():
+    checked = 0
+    for p in range(1, 60):
+        for q in range(-2 * p, 2 * p + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            for eps in (1, -1):
+                if not is_spin_sign_admissible(q, p, eps):
+                    continue
+                for sign in (1, -1):  # L(-p, -q) = L(p, q)
+                    lens = LensSpace(sign * p, sign * q, eps)
+                    g, w = seifert_to_plumbing(lens)
+                    assert w == WuVector()
+                    assert g == _lens_chain_by_candidates(lens), (p, q, eps)
+                    checked += 1
+    assert checked > 5000
 
 
 def test_lens_trivial_and_odd_cases():

@@ -17,6 +17,7 @@ from spindefect.seifert import (
     SeifertData,
     SpinAssignment,
     _arrangement,
+    _euler_numerator,
     _engine_value,
     delta_engine,
     euler_number,
@@ -54,6 +55,34 @@ def test_euler_number():
     s = SeifertData([(2, 1), (3, 1), (5, -4)])
     assert euler_number(s) == Fraction(-1, 30)
     assert euler_number(SeifertData([(1, -2)])) == 2
+
+
+_raw_pairs = st.lists(
+    st.tuples(st.integers(1, 12), st.integers(-30, 30)).filter(lambda ab: math.gcd(*ab) == 1),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_pairs)
+@example([(2, 1), (2, -1)])  # e = 0
+@example([(1, 0)])
+@example([(2, 1), (3, 1), (5, -4)])  # |H_1| = 1
+def test_euler_numerator_matches_the_fraction_sum(pairs):
+    numerator = _euler_numerator(pairs)
+    prod = math.prod(a for a, _ in pairs)
+    e = -sum(Fraction(b, a) for a, b in pairs)
+    assert Fraction(-numerator, prod) == e
+    # |H_1| = |prod(a_i) e|, so the numerator carries its parity
+    assert (abs(numerator) % 2 == 1) == ((e * prod).numerator % 2 == 1)
+    try:
+        s = SeifertData(pairs)
+    except DegenerateEuler:
+        assert e == 0
+    except ValueError:
+        assert len(pairs) == 3 and e != 0  # a non-spherical triple
+    else:
+        assert euler_number(s) == e != 0
 
 
 def test_spin_structure_counts():
