@@ -6,148 +6,27 @@ computed here three independent ways -- a closed-form row catalog, a general
 rearrangement engine, and negative-definite plumbing trees -- and fed into
 ten-eighths-theorem applications (filling shapes, cobordism order, embedded
 surfaces).  Everything is exact integer/rational arithmetic.
+
+The package re-exports each module's ``__all__``; that list is where a
+public name is declared.
 """
 
-from .catalog import (
-    FAMILY_D,
-    FAMILY_I,
-    FAMILY_LENS,
-    FAMILY_O,
-    FAMILY_T,
-    DeltaCaseId,
-    classify,
-    delta,
-    delta_table,
-    instantiate_case,
-    iter_cases,
-)
-from .errors import (
-    DegenerateEuler,
-    InternalDisagreement,
-    NoAdmissibleRearrangement,
-    NoSolution,
-    NoSpinForm,
-    PrecisionError,
-    SpinDefectError,
-    UnrecognizedForm,
-)
-from .obstruction import (
-    CobordismCertificate,
-    DefiniteForcing,
-    FourManifoldShape,
-    RP2Verdict,
-    TenEighthsVerdict,
-    VerdictStatus,
-    characteristic_sphere_check,
-    cobordism_order_certificate,
-    definite_filling_signature,
-    rp2_embedding_check,
-    spin_filling_feasible,
-    ten_eighths_verdict,
-    verdict_report,
-)
-from .plumbing import (
-    PlumbingGraph,
-    WuVector,
-    blow_down,
-    chain_graph,
-    graph_from_json,
-    graph_to_json,
-    intersection_matrix,
-    parse_star,
-    plumbing_delta,
-    seifert_to_plumbing,
-    signature,
-    star_graph,
-    wu_solutions,
-)
-from .seifert import (
-    LensSpace,
-    SeifertData,
-    SpinAssignment,
-    delta_engine,
-    euler_number,
-    parse_seifert,
-    parse_spin,
-    permute_fibers,
-    reverse_orientation,
-    shift_move,
-    spin_conditions_hold,
-    spin_enumerate,
-)
-from .sigma import (
-    TrigSum,
-    cf_eval,
-    even_cf_expand,
-    is_spin_sign_admissible,
-    sigma,
-    sigma_trig,
-)
+from . import catalog, errors, obstruction, plumbing, seifert, sigma
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CobordismCertificate",
-    "DefiniteForcing",
-    "DegenerateEuler",
-    "DeltaCaseId",
-    "FAMILY_D",
-    "FAMILY_I",
-    "FAMILY_LENS",
-    "FAMILY_O",
-    "FAMILY_T",
-    "FourManifoldShape",
-    "InternalDisagreement",
-    "LensSpace",
-    "NoAdmissibleRearrangement",
-    "NoSolution",
-    "NoSpinForm",
-    "PlumbingGraph",
-    "PrecisionError",
-    "RP2Verdict",
-    "SeifertData",
-    "SpinAssignment",
-    "SpinDefectError",
-    "TenEighthsVerdict",
-    "TrigSum",
-    "UnrecognizedForm",
-    "VerdictStatus",
-    "WuVector",
-    "blow_down",
-    "cf_eval",
-    "chain_graph",
-    "characteristic_sphere_check",
-    "classify",
-    "cobordism_order_certificate",
-    "definite_filling_signature",
-    "delta",
-    "delta_engine",
-    "delta_table",
-    "euler_number",
-    "even_cf_expand",
-    "graph_from_json",
-    "graph_to_json",
-    "instantiate_case",
-    "intersection_matrix",
-    "is_spin_sign_admissible",
-    "iter_cases",
-    "parse_seifert",
-    "parse_spin",
-    "parse_star",
-    "permute_fibers",
-    "plumbing_delta",
-    "reverse_orientation",
-    "rp2_embedding_check",
-    "seifert_to_plumbing",
-    "shift_move",
-    "sigma",
-    "sigma_trig",
-    "signature",
-    "spin_conditions_hold",
-    "spin_enumerate",
-    "spin_filling_feasible",
-    "star_graph",
-    "ten_eighths_verdict",
-    "verdict_report",
-    "wu_solutions",
-]
+__all__ = sorted(
+    catalog.__all__
+    + errors.__all__
+    + obstruction.__all__
+    + plumbing.__all__
+    + seifert.__all__
+    + sigma.__all__
+)
+
+from .catalog import *
+from .errors import *
+from .obstruction import *
+from .plumbing import *
+from .seifert import *
+from .sigma import *  # last, so that ``spindefect.sigma`` is the function

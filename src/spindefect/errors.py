@@ -6,6 +6,17 @@ errors.  Internal cross-check failures raise InternalDisagreement, which is
 deliberately *not* a ValueError: it signals a bug, not bad input.
 """
 
+__all__ = [
+    "SpinDefectError",
+    "PrecisionError",
+    "UnrecognizedForm",
+    "NoAdmissibleRearrangement",
+    "DegenerateEuler",
+    "NoSpinForm",
+    "NoSolution",
+    "InternalDisagreement",
+]
+
 
 class SpinDefectError(Exception):
     """Base class for every error raised by this package."""

@@ -30,6 +30,8 @@ parent at 0, and its own value is then defined by the parent's equation,
 or is free when a sibling already fixed the parent.  Back-substitution from
 the root gives every solution as an affine form in the free variables, so
 the whole solve is linear in the tree, with no fill-in and no dense matrix.
+The rooted order both passes walk is computed once per graph, by the
+connectivity check of the validating constructor or by the first pass.
 """
 
 from __future__ import annotations
@@ -76,10 +78,9 @@ class PlumbingGraph:
 
     def __init__(self, vertices, edges=()):
         vertices = tuple((int(i), int(w)) for i, w in vertices)
-        ids = [i for i, _ in vertices]
-        if len(set(ids)) != len(ids):
+        idset = {i for i, _ in vertices}
+        if len(idset) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        idset = set(ids)
         norm = []
         for e in edges:
             i, j = e
@@ -91,17 +92,8 @@ class PlumbingGraph:
         if vertices and len(norm) != len(vertices) - 1:
             raise ValueError("not a tree: |edges| != |vertices| - 1")
         self._set(vertices, tuple(sorted(norm)))
-        if vertices:
-            seen = {ids[0]}
-            frontier = [ids[0]]
-            while frontier:
-                v = frontier.pop()
-                for u in self._adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        frontier.append(u)
-            if seen != idset:
-                raise ValueError("not a tree: graph is disconnected")
+        if len(self._leaf_order[0]) != len(vertices):
+            raise ValueError("not a tree: graph is disconnected")
 
     @classmethod
     def _from_tree(cls, vertices, edges) -> PlumbingGraph:
@@ -129,6 +121,25 @@ class PlumbingGraph:
         # sorted edges list each vertex's neighbours in ascending order
         object.__setattr__(self, "_weight", dict(vertices))
         object.__setattr__(self, "_adj", {i: tuple(nb) for i, nb in adj.items()})
+
+    @functools.cached_property
+    def _leaf_order(self) -> tuple[list[int], dict]:
+        """Breadth-first order from the first vertex (every vertex after its
+        parent), and each vertex's parent (None at the root); ([], {}) for
+        the empty graph.  Computed once per graph and, like the lookup maps,
+        outside ==."""
+        if not self.vertices:
+            return [], {}
+        adj = self._adj
+        root = self.vertices[0][0]
+        parent = {root: None}
+        order = [root]
+        for v in order:
+            for u in adj[v]:
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+        return order, parent
 
     @functools.cached_property
     def _inertia(self) -> tuple[int, int, int]:
@@ -244,21 +255,6 @@ def signature(m) -> tuple[int, int, int]:
     return plus, minus, n - plus - minus
 
 
-def _leaf_order(g: PlumbingGraph) -> tuple[list[int], dict]:
-    """Breadth-first order from the first vertex (every vertex after its
-    parent), and each vertex's parent (None at the root)."""
-    adj = g._adj
-    root = g.vertices[0][0]
-    parent = {root: None}
-    order = [root]
-    for v in order:
-        for u in adj[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    return order, parent
-
-
 def _wu_forms(g: PlumbingGraph) -> tuple[list[int], dict, int]:
     """Solve M x = diag(M) over GF(2) from the leaves to the root.
 
@@ -279,7 +275,7 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[int], dict, int]:
     as it is for any symmetric form.  Raises NoSolution past the enumeration
     cap, before any form is built.
     """
-    order, parent = _leaf_order(g)
+    order, parent = g._leaf_order
     eff = {v: w & 1 for v, w in g.vertices}
     zeros = {}  # pinned vertex -> its eff-0 children, the first one defined
     free = []
@@ -379,9 +375,7 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
     own parent.  Any further zero child of that parent is then isolated and
     adds one to n_zero.
     """
-    if not g.vertices:
-        return 0, 0, 0
-    order, parent = _leaf_order(g)
+    order, parent = g._leaf_order
     num = dict(g._weight)
     den = dict.fromkeys(num, 1)
     zero_children = dict.fromkeys(num, 0)

@@ -224,7 +224,7 @@ class LensSpace:
             p, q = -p, -q  # L(p, q) = L(|p|, sgn(p) q)
         if not is_spin_sign_admissible(q, p, eps):
             raise NoSpinForm(
-                f"L({p}, {q}) with p odd has only the eps = {(-1) ** (q - 1):+d} structure"
+                f"L({p}, {q}) with p odd has only the eps = {-eps:+d} structure"
             )
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -305,26 +305,11 @@ def delta_engine(s: SeifertData, c: SpinAssignment) -> int:
         raise NoSpinForm(f"labels {c.cg};{c.ch} are not a spin structure on {s.pairs}")
     pairs, cg = _arrangement(s, c)
     a1, b1 = pairs[0]
-    # a1 v1 - b1 u1 = 1 via the extended Euclidean identity
-    g, x, y = _egcd(a1, b1)
-    assert g == 1
-    v1, u1 = x, -y
+    # a1 v1 - b1 u1 = 1; any solution (u1 + t a1, v1 + t b1) gives the same
+    # delta, so take u1 = -1/b1 mod a1 (pow raises if gcd(a1, b1) != 1)
+    u1 = -pow(b1, -1, a1)
+    v1 = (1 + b1 * u1) // a1
     return _engine_value(pairs, cg, c.ch, u1, v1)
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_x, x = x, old_x - qq * x
-        old_y, y = y, old_y - qq * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,7 @@ __all__ = [
     "sigma",
     "sigma_trig",
     "TrigSum",
-    "SIGMA_TRIG_TOL",
     "is_spin_sign_admissible",
-    "sgn",
 ]
 
 #: |sigma_trig - round(sigma_trig)| must stay below this, or we refuse to round.

@@ -113,6 +113,13 @@ def test_exit_codes_for_input_errors(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_inadmissible_lens_sign_exits_2_with_the_admissible_one(capsys):
+    rc, out, err = run(capsys, "delta", "--lens", "3", "-2", "--eps", "1")
+    assert rc == 2
+    assert err == "error: L(3, -2) with p odd has only the eps = -1 structure\n"
+    assert out == ""
+
+
 def test_argparse_errors_also_exit_2(capsys):
     for argv in (["sigma", "3"], ["no-such-command"], []):
         with pytest.raises(SystemExit) as exc:

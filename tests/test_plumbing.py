@@ -53,6 +53,9 @@ def test_graph_validation():
         PlumbingGraph([(0, 1), (1, 2)], [])  # disconnected
     with pytest.raises(ValueError):
         PlumbingGraph([(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2), (0, 2)])  # cycle
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        # |edges| = |vertices| - 1, but a cycle leaves vertex 3 unreached
+        PlumbingGraph([(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 1), (1, 2), (0, 2)])
     g = chain_graph([-2, -3, -2])
     assert g.weight(1) == -3
     assert g.neighbors(1) == (0, 2)
@@ -543,11 +546,18 @@ def test_inertia_is_computed_once_per_graph(monkeypatch):
     calls = []
     real = plumbing._tree_inertia
     monkeypatch.setattr(plumbing, "_tree_inertia", lambda g: calls.append(g) or real(g))
+    # the rooted order is walked once, for the Wu solve and the inertia alike
+    orders = []
+    prop = plumbing.PlumbingGraph.__dict__["_leaf_order"]
+    real_order = prop.func
+    monkeypatch.setattr(prop, "func", lambda g: orders.append(real_order(g)) or orders[-1])
     deltas = [plumbing_delta(g, w) for w in wu_solutions(g)]
     assert len(deltas) > 1 and len(calls) == 1
+    assert len(orders) == 1 and g._leaf_order is orders[0]
     assert g._inertia == real(g) == signature(intersection_matrix(g))
     # a cached value, like the lookup maps, stays out of ==, hash and repr
-    assert g == h and hash(g) == hash(h) and "_inertia" not in repr(g)
+    assert g == h and hash(g) == hash(h)
+    assert "_inertia" not in repr(g) and "_leaf_order" not in repr(g)
 
 
 def test_json_roundtrip():

@@ -7,6 +7,7 @@ arrangement of the data.  These checks read the package sources.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import spindefect
@@ -58,3 +59,15 @@ def test_plumbing_imports_neither_catalog_nor_the_engine():
 def test_catalog_never_names_the_engine_arrangement():
     source = (_SRC / "catalog.py").read_text(encoding="utf-8")
     assert "_arrangement" not in source
+
+
+def test_runtime_imports_only_the_standard_library():
+    found = set()
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.partition(".")[0])
+    assert {"fractions", "math"} <= found  # the walk sees the imports
+    assert found <= sys.stdlib_module_names, found - sys.stdlib_module_names

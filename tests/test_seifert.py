@@ -117,8 +117,8 @@ _PLATONIC = [(2, 2, n) for n in range(2, 13)] + [(2, 3, 3), (2, 3, 4), (2, 3, 5)
 
 
 @st.composite
-def seifert_data(draw, min_fibers=1):
-    """One to three fibers with a <= 12 and |b| <= 30.  Three fibers are a
+def seifert_data(draw, min_fibers=1, b_max=30):
+    """One to three fibers with a <= 12 and |b| <= b_max.  Three fibers are a
     permuted spherical triple or carry an a = 1 fiber; a fiber may mirror
     another's (a, -b), so that a_1 b_2 + a_2 b_1 can vanish."""
     m = draw(st.integers(min_fibers, 3))
@@ -129,7 +129,7 @@ def seifert_data(draw, min_fibers=1):
         if m == 3:
             mults[draw(st.integers(0, 2))] = 1
     pairs = [
-        (a, draw(st.integers(-30, 30).filter(lambda b, a=a: math.gcd(a, b) == 1)))
+        (a, draw(st.integers(-b_max, b_max).filter(lambda b, a=a: math.gcd(a, b) == 1)))
         for a in mults
     ]
     if m > 1 and draw(st.booleans()):
@@ -314,6 +314,21 @@ def test_engine_value_independent_of_bezout_choice():
                 assert value == base
 
 
+@settings(max_examples=200, deadline=None)
+@given(seifert_data(min_fibers=3, b_max=60), st.data(), st.integers(-4, 4))
+def test_delta_engine_is_independent_of_the_bezout_pair(s, data, t):
+    # the engine may take any solution of a1 v1 - b1 u1 = 1; all of them,
+    # (u1 + t a1, v1 + t b1), give its delta
+    assume(any(a % 2 == 0 for a in s.multiplicities))
+    c = data.draw(st.sampled_from(spin_enumerate(s)))
+    pairs, cg = _arrangement(s, c)
+    a1, b1 = pairs[0]
+    u1 = next(u for u in range(a1) if (1 + b1 * u) % a1 == 0)
+    v1 = (1 + b1 * u1) // a1
+    value = _engine_value(pairs, cg, c.ch, u1 + t * a1, v1 + t * b1)
+    assert value == delta_engine(s, c)
+
+
 def test_engine_invariant_under_shift_moves(rng):
     s = SeifertData([(2, 1), (3, 1), (4, 1)])
     for c in spin_enumerate(s):
@@ -344,6 +359,20 @@ def test_lens_space_normalization_and_defect():
         LensSpace(0, 1, 1)
     with pytest.raises(ValueError):
         LensSpace(4, 1, 2)
+
+
+def test_inadmissible_lens_sign_names_the_other_one():
+    for (p, q, eps), message in [
+        ((3, -2, 1), "L(3, -2) with p odd has only the eps = -1 structure"),
+        ((-3, 2, 1), "L(3, -2) with p odd has only the eps = -1 structure"),
+        ((1, 0, 1), "L(1, 0) with p odd has only the eps = -1 structure"),
+        ((3, 1, -1), "L(3, 1) with p odd has only the eps = +1 structure"),
+        ((5, -3, -1), "L(5, -3) with p odd has only the eps = +1 structure"),
+    ]:
+        with pytest.raises(NoSpinForm) as exc:
+            LensSpace(p, q, eps)
+        assert str(exc.value) == message
+        assert LensSpace(p, q, -eps).eps == -eps
 
 
 @settings(max_examples=100, deadline=None)
