@@ -239,7 +239,7 @@ def classify(s: SeifertData, c: SpinAssignment) -> DeltaCaseId:
     # c(h) = 0 on every spherical form (each has a 2-fiber), so a shift by
     # k_i moves the label c(g_i) by k_i mod 2
     fibers = [(a, sign * b, cg) for (a, b), cg in zip(s.pairs, c.cg)]
-    mults = sorted(s.multiplicities)
+    mults = sorted(a for a, _ in s.pairs)
     if mults[1] == 2:
         case = _classify_dihedral(fibers, reversed_flag)
     else:

@@ -85,7 +85,7 @@ def _lens_from_args(args) -> LensSpace:
     if eps is None:
         if p % 2 == 0:
             raise ValueError("p is even: pick a structure with --eps +1 or -1")
-        eps = 1 if q % 2 == 1 else -1
+        eps = 1 if is_spin_sign_admissible(q, p, 1) else -1
     return LensSpace(p, q, eps)
 
 

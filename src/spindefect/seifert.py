@@ -83,10 +83,6 @@ class SeifertData:
     def __len__(self):
         return len(self.pairs)
 
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.pairs)
-
     def is_spherical_candidate(self) -> bool:
         """True for three genuinely singular fibers over a spherical base.
 
@@ -94,7 +90,7 @@ class SeifertData:
         together with e != 0 these are exactly the fibrations with finite
         fundamental group and three exceptional fibers.
         """
-        mults = sorted(self.multiplicities)
+        mults = sorted(a for a, _ in self.pairs)
         return len(mults) == 3 and mults[0] >= 2 and _platonic(mults)
 
 
@@ -297,7 +293,7 @@ def delta_engine(s: SeifertData, c: SpinAssignment) -> int:
         raise ValueError("the splitting engine needs exactly three fiber pairs")
     if len(c.cg) != 3:
         raise ValueError("label count does not match fiber count")
-    if all(a % 2 == 1 for a in s.multiplicities):
+    if all(a % 2 == 1 for a, _ in s.pairs):
         raise NoAdmissibleRearrangement(
             "splitting needs an even multiplicity among the a_i"
         )

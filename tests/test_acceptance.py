@@ -5,7 +5,6 @@ ledger even when everything passes.  Each criterion also enforces its own
 runtime budget.
 """
 
-import math
 import random
 import sys
 import time
@@ -43,6 +42,8 @@ from spindefect.sigma import (
     sigma_trig,
 )
 
+from conftest import coprime_pairs
+
 
 @contextmanager
 def criterion(n, label, capfd, budget=None):
@@ -60,13 +61,6 @@ def criterion(n, label, capfd, budget=None):
         assert dt < budget, f"criterion {n} took {dt:.2f}s, budget {budget}s"
 
 
-def coprime_range(limit=60):
-    for p in range(2, limit + 1):
-        for q in range(1, p):
-            if math.gcd(p, q) == 1:
-                yield p, q
-
-
 _GRID = None
 
 
@@ -81,7 +75,7 @@ def test_criterion_1_sigma_three_way(capfd):
     with criterion(1, "sigma three-way agreement, p <= 60, both eps", capfd,
                    budget=10.0):
         checked = 0
-        for p, q0 in coprime_range(60):
+        for p, q0 in coprime_pairs(60):
             for q in (q0, -q0):
                 for eps in (1, -1):
                     # agreement is claimed on the sign choices that label
@@ -102,7 +96,7 @@ def test_criterion_1_sigma_three_way(capfd):
 
 def test_criterion_2_reciprocity_and_parity(capfd):
     with criterion(2, "reciprocity and parity corollary, exact", capfd):
-        for p, q0 in coprime_range(60):
+        for p, q0 in coprime_pairs(60):
             for q in (q0, -q0):
                 if (p + q) % 2 == 1:
                     assert sigma(p, q, -1) + sigma(q, p, -1) == -sgn(p * q)

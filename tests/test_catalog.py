@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -33,6 +32,8 @@ from spindefect.seifert import (
     spin_enumerate,
 )
 from spindefect.sigma import sigma
+
+from conftest import coprime_to, pairs_of
 
 _GRID = list(iter_cases(k_span=2, n_max=8, b_max=8))
 
@@ -243,17 +244,14 @@ def _spherical_data(draw):
         mults = (2, 2, draw(st.integers(min_value=2, max_value=30)))
     else:
         mults = (2, 3, kind)
-    pairs = []
-    for a in mults:
-        coprime_b = st.integers(min_value=-200, max_value=200).filter(
-            lambda b, a=a: math.gcd(a, b) == 1
-        )
-        pairs.append((a, draw(coprime_b)))
+    pairs = [(a, draw(coprime_to(a, 200))) for a in mults]
     assume(sum(Fraction(b, a) for a, b in pairs) != 0)
     return SeifertData(pairs)
 
 
-_shift = st.integers(min_value=-50, max_value=50)
+# (k1, k2) with |k1|, |k2| and |k1 + k2| at most 50
+_shifts = pairs_of(st.integers(-50, 50),
+                   lambda k1: st.integers(max(-50, -50 - k1), min(50, 50 - k1)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,10 +267,10 @@ def test_integer_orientation_sign_matches_the_euler_number(s):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_spherical_data(), st.permutations(range(3)), _shift, _shift, st.booleans())
-def test_three_routes_agree_and_are_invariant_under_re_presentation(s, perm, k1, k2, flip):
+@given(_spherical_data(), st.permutations(range(3)), _shifts, st.booleans())
+def test_three_routes_agree_and_are_invariant_under_re_presentation(s, perm, shift, flip):
     # shift/permutation invariance of delta, with orientation reversal negating it
-    assume(abs(k1 + k2) <= 50)
+    k1, k2 = shift
     for c in spin_enumerate(s):
         base = delta_engine(s, c)
         assert base == plumbing_delta(*seifert_to_plumbing(s, c)) == delta(s, c)

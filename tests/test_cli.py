@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import math
 from unittest import mock
 
 import pytest
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 from spindefect.cli import main
 from spindefect.plumbing import graph_to_json, seifert_to_plumbing
 from spindefect.seifert import SeifertData, SpinAssignment, parse_seifert, spin_enumerate
+
+from conftest import PLATONIC, coprime_to, pairs_of
 
 
 def run(capsys, *argv):
@@ -322,15 +323,13 @@ _small = st.integers(-30, 30)
 _int = st.one_of(_small, st.integers(-10**4, 10**4)).map(str)
 _count = st.integers(-1, 30).map(str)
 _junk = st.text(alphabet="()[]{},;:+-0123456789 abx\\", max_size=12)
-_PLATONIC = [(2, 2, 3), (2, 2, 4), (2, 2, 7), (2, 3, 3), (2, 3, 4), (2, 3, 5)]
 _mults = st.one_of(
-    st.sampled_from(_PLATONIC).flatmap(st.permutations),
+    st.sampled_from(PLATONIC).flatmap(st.permutations),
     st.lists(st.integers(-1, 12), min_size=1, max_size=4),
 )
 _seifert = st.one_of(
-    _mults.flatmap(lambda ms: st.tuples(*[
-        st.integers(-40, 40).filter(lambda b, a=a: math.gcd(a, b) == 1) for a in ms
-    ]).map(lambda bs: ",".join(f"({a},{b})" for a, b in zip(ms, bs)))),
+    _mults.flatmap(lambda ms: st.tuples(*[coprime_to(a, 40) for a in ms]).map(
+        lambda bs: ",".join(f"({a},{b})" for a, b in zip(ms, bs)))),
     _junk,
 )
 
@@ -369,7 +368,7 @@ def _flag(name, values):
 
 
 _lens = st.tuples(_int, _int).map(lambda pq: ["--lens", *pq])
-_coprime = st.tuples(_small, _small).filter(lambda pq: math.gcd(*pq) == 1)
+_coprime = pairs_of(_small, lambda p: coprime_to(p, 30))
 _pair = st.one_of(st.tuples(_int, _int), _coprime.map(lambda pq: tuple(map(str, pq)))).map(list)
 _eps = st.sampled_from([["--eps", "1"], ["--eps", "-1"], ["--eps", "0"]])
 _shape = [_flag("--bplus", _count), _flag("--bminus", _count)]
@@ -399,7 +398,9 @@ _FLAGS = {
 
 _json_value = st.recursive(
     st.none() | st.booleans() | st.integers(-50, 50) | st.floats(allow_nan=False) | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    # a dict from a list of items: a repeated key collapses instead of being redrawn
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.tuples(st.text(max_size=6), inner), max_size=4).map(dict),
     max_leaves=12,
 )
 _vertex = st.fixed_dictionaries({"id": st.integers(-2, 8), "weight": _small})

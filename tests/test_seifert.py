@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spindefect.errors import (
@@ -29,7 +29,9 @@ from spindefect.seifert import (
     spin_conditions_hold,
     spin_enumerate,
 )
-from spindefect.sigma import sigma
+from spindefect.sigma import is_spin_sign_admissible, sigma
+
+from conftest import coprime_pairs, coprime_to, pairs_of, seifert_data
 
 
 def test_seifert_data_validation():
@@ -58,8 +60,7 @@ def test_euler_number():
 
 
 _raw_pairs = st.lists(
-    st.tuples(st.integers(1, 12), st.integers(-30, 30)).filter(lambda ab: math.gcd(*ab) == 1),
-    min_size=1, max_size=3,
+    pairs_of(st.integers(1, 12), lambda a: coprime_to(a, 30)), min_size=1, max_size=3,
 )
 
 
@@ -111,34 +112,6 @@ def test_all_odd_multiplicities_allow_ch_one():
     # S^3 presented as a single (1, 1) pair: the unique labelling has ch = 1
     out = spin_enumerate(SeifertData([(1, 1)]))
     assert [(c.cg, c.ch) for c in out] == [((0,), 1)]
-
-
-_PLATONIC = [(2, 2, n) for n in range(2, 13)] + [(2, 3, 3), (2, 3, 4), (2, 3, 5)]
-
-
-@st.composite
-def seifert_data(draw, min_fibers=1, b_max=30):
-    """One to three fibers with a <= 12 and |b| <= b_max.  Three fibers are a
-    permuted spherical triple or carry an a = 1 fiber; a fiber may mirror
-    another's (a, -b), so that a_1 b_2 + a_2 b_1 can vanish."""
-    m = draw(st.integers(min_fibers, 3))
-    if m == 3 and draw(st.booleans()):
-        mults = list(draw(st.permutations(draw(st.sampled_from(_PLATONIC)))))
-    else:
-        mults = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
-        if m == 3:
-            mults[draw(st.integers(0, 2))] = 1
-    pairs = [
-        (a, draw(st.integers(-b_max, b_max).filter(lambda b, a=a: math.gcd(a, b) == 1)))
-        for a in mults
-    ]
-    if m > 1 and draw(st.booleans()):
-        i, j = draw(st.permutations(range(m)))[:2]
-        pairs[j] = (pairs[i][0], -pairs[i][1])
-    try:
-        return SeifertData(pairs)
-    except (ValueError, DegenerateEuler):
-        assume(False)
 
 
 def _spin_enumerate_by_filtering(s):
@@ -244,12 +217,11 @@ def _arrangement_by_moves(s, c):
 
 
 @settings(max_examples=400, deadline=None)
-@given(seifert_data(min_fibers=3), st.data())
+@given(seifert_data(engine=True), st.data())
 @example(SeifertData([(2, -9), (2, -9), (2, 9)]), None)
 @example(SeifertData([(1, -9), (1, 0), (2, -9)]), None)
 @example(SeifertData([(1, -2), (2, -9), (2, 9)]), None)
 def test_arrangement_matches_the_permute_and_shift_moves(s, data):
-    assume(any(a % 2 == 0 for a in s.multiplicities))
     spins = spin_enumerate(s)
     c = spins[0] if data is None else data.draw(st.sampled_from(spins))
     pairs, cg = _arrangement(s, c)
@@ -292,35 +264,16 @@ def test_engine_requires_three_fibers():
         delta_engine(s, SpinAssignment((0, 0)))
 
 
-def test_engine_value_independent_of_bezout_choice():
-    # a1*v1 - b1*u1 = 1 has a Z-family of solutions (u1 + t a1, v1 + t b1);
-    # the splitting defect must not depend on the representative
-    cases = [
-        (((2, 1), (2, 1), (3, 1)), (0, 0, 0)),
-        (((2, 1), (3, 1), (5, -4)), (1, 1, 0)),
-        (((2, -1), (3, -1), (4, 9)), (1, 1, 1)),
-    ]
-    for pairs, cg in cases:
-        a1, b1 = pairs[0]
-        # base solution of a1*v1 - b1*u1 = 1
-        for u1, v1 in [(u, v) for u in range(-6, 7) for v in range(-6, 7)
-                       if a1 * v - b1 * u == 1][:1]:
-            if not (pairs[2][1] != 0 and pairs[0][0] * pairs[1][1]
-                    + pairs[1][0] * pairs[0][1] != 0):
-                continue
-            base = _engine_value(pairs, cg, 0, u1, v1)
-            for t in range(-3, 4):
-                value = _engine_value(pairs, cg, 0, u1 + t * a1, v1 + t * b1)
-                assert value == base
-
-
 @settings(max_examples=200, deadline=None)
-@given(seifert_data(min_fibers=3, b_max=60), st.data(), st.integers(-4, 4))
+@given(seifert_data(b_max=60, engine=True), st.data(), st.integers(-4, 4))
+@example(SeifertData([(2, 1), (2, 1), (3, 1)]), None, -3)
+@example(SeifertData([(2, 1), (3, 1), (5, -4)]), None, 2)
+@example(SeifertData([(2, -1), (3, -1), (4, 9)]), None, 3)
 def test_delta_engine_is_independent_of_the_bezout_pair(s, data, t):
     # the engine may take any solution of a1 v1 - b1 u1 = 1; all of them,
     # (u1 + t a1, v1 + t b1), give its delta
-    assume(any(a % 2 == 0 for a in s.multiplicities))
-    c = data.draw(st.sampled_from(spin_enumerate(s)))
+    spins = spin_enumerate(s)
+    c = spins[0] if data is None else data.draw(st.sampled_from(spins))
     pairs, cg = _arrangement(s, c)
     a1, b1 = pairs[0]
     u1 = next(u for u in range(a1) if (1 + b1 * u) % a1 == 0)
@@ -376,12 +329,11 @@ def test_inadmissible_lens_sign_names_the_other_one():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=59))
-def test_lens_defect_antisymmetry(p, q):
-    if q >= p or math.gcd(p, q) != 1:
-        return
+@given(st.sampled_from(list(coprime_pairs(60))))
+def test_lens_defect_antisymmetry(pq):
+    p, q = pq
     for eps in (1, -1):
-        if p % 2 == 1 and eps != (1 if q % 2 == 1 else -1):
+        if not is_spin_sign_admissible(q, p, eps):
             continue
         assert LensSpace(p, -q, eps).defect() == -LensSpace(p, q, eps).defect()
 

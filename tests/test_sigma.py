@@ -15,7 +15,7 @@ from spindefect.sigma import (
     sigma_trig,
 )
 
-from conftest import coprime_pairs
+from conftest import coprime_pairs, coprime_to, pairs_of
 
 # Frozen against an independent 50-digit evaluation of the cot/csc sum
 # (mpmath); every entry agreed with the rounded high-precision value to
@@ -117,10 +117,15 @@ def test_admissibility_rule():
 
 # --- the defining rewrite laws ------------------------------------------------
 
-_coprime = st.tuples(
-    st.integers(min_value=2, max_value=400),
-    st.integers(min_value=-400, max_value=400),
-).filter(lambda t: t[1] != 0 and math.gcd(t[0], t[1]) == 1)
+_coprime = pairs_of(st.integers(2, 400), lambda p: coprime_to(p, 400))
+
+
+def _other_parity(p, q_max):
+    # q in [-q_max, q_max] coprime to p: every unit of an even p is odd,
+    # and for p odd, q = 2r with r a unit
+    if p % 2 == 0:
+        return coprime_to(p, q_max)
+    return coprime_to(p, q_max // 2).map(lambda r: 2 * r)
 
 
 @settings(max_examples=150, deadline=None)
@@ -142,26 +147,18 @@ def test_oddness_in_each_argument(pq, eps):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_coprime)
+@given(pairs_of(st.integers(2, 400), lambda p: _other_parity(p, 400)))
 def test_reciprocity_for_opposite_parity(pq):
     p, q = pq
-    if (p + q) % 2 == 0:
-        p += 1
-        if math.gcd(p, q) != 1:
-            return
     assert sigma(p, q, -1) + sigma(q, p, -1) == -sgn(p * q)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=300),
-    st.integers(min_value=1, max_value=300),
-)
-def test_parity_of_values(a, b):
+@given(pairs_of(st.integers(1, 300).map(lambda a: 2 * a + 1),
+                lambda p: _other_parity(p, 600).map(abs)))
+def test_parity_of_values(pq):
     # p odd, q even, coprime: sigma(p, q, +-1) is odd, sigma(q, p, -1) even
-    p, q = 2 * a + 1, 2 * b
-    if math.gcd(p, q) != 1:
-        return
+    p, q = pq
     assert sigma(p, q, 1) % 2 == 1
     assert sigma(p, q, -1) % 2 == 1
     assert sigma(q, p, -1) % 2 == 0
@@ -195,20 +192,16 @@ def test_even_expansion_fixtures(p, q, expected):
 
 
 @settings(max_examples=250, deadline=None)
-@given(_coprime)
+@given(pairs_of(st.integers(2, 400), lambda p: _other_parity(p, p - 1)))
 def test_even_expansion_roundtrip(pq):
     p, q = pq
-    if (p + q) % 2 == 0 or abs(p) <= abs(q):
-        return
     entries = even_cf_expand(p, q)
     assert all(a % 2 == 0 and abs(a) >= 2 for a in entries)
     assert cf_eval(entries) == Fraction(p, q)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(min_value=-6, max_value=6)
-                .filter(lambda a: a % 2 == 0 and abs(a) >= 2),
-                min_size=1, max_size=8))
+@given(st.lists(st.sampled_from((-6, -4, -2, 2, 4, 6)), min_size=1, max_size=8))
 def test_every_even_word_is_an_expansion(entries):
     # any word in even digits |a| >= 2 evaluates to a fraction whose
     # expansion is the word itself (uniqueness)
