@@ -400,10 +400,8 @@ def _selftest_sigma() -> int:
                        f"sigma({q},{p},{eps:+d}): exact {exact} vs trig {trig}")
                 checks += 1
             if (p + q) % 2 == 1:
-                entries = even_cf_expand(p, q)
-                cf = -sum((a > 0) - (a < 0) for a in entries)
-                _check(sigma(q, p, -1) == cf,
-                       f"sigma({q},{p},-1) != -sign-sum of even expansion")
+                _check(cf_eval(even_cf_expand(p, q)) == Fraction(p, q),
+                       f"even expansion of {p}/{q} does not evaluate to it")
                 checks += 1
     for p in range(2, 25):
         for q in range(1, p):

@@ -30,8 +30,9 @@ parent at 0, and its own value is then defined by the parent's equation,
 or is free when a sibling already fixed the parent.  Back-substitution from
 the root gives every solution as an affine form in the free variables, so
 the whole solve is linear in the tree, with no fill-in and no dense matrix.
-The rooted order both passes walk is computed once per graph, by the
-connectivity check of the validating constructor or by the first pass.
+The rooted order both passes walk comes with a builder's tree: the builders
+make each vertex after its parent and hand that order over.  A graph from
+the validating constructor gets it once, from its connectivity check.
 """
 
 from __future__ import annotations
@@ -96,17 +97,23 @@ class PlumbingGraph:
             raise ValueError("not a tree: graph is disconnected")
 
     @classmethod
-    def _from_tree(cls, vertices, edges) -> PlumbingGraph:
+    def _from_tree(cls, weights, parent) -> PlumbingGraph:
         """A graph from a builder that has just made a tree, not re-validated.
 
-        The builder guarantees distinct integer ids and edges (i, j) with
-        i < j that form a tree on them, as ``chain_graph`` and
-        ``star_graph`` do: consecutive ids, each edge running from an
-        earlier vertex to the next new one.  Weights still go through
-        ``int()``.  Graphs from outside come through ``__init__`` instead.
+        ``parent`` maps each vertex id to its parent, None at the root, in
+        the order the builder made them, and ``weights`` come in that
+        order.  The builder guarantees what ``chain_graph`` and
+        ``star_graph`` do: the root comes first and every other vertex
+        after its parent, with a larger id.  So that order is a rooted
+        order, stored as ``_leaf_order`` without a search, and each
+        (parent, child) pair is an edge already in (min, max) form.
+        Weights still go through ``int()``.  Graphs from outside come
+        through ``__init__`` instead.
         """
         g = object.__new__(cls)
-        g._set(tuple((i, int(w)) for i, w in vertices), tuple(sorted(edges)))
+        edges = [(u, v) for v, u in parent.items() if u is not None]
+        g._set(tuple(zip(parent, map(int, weights))), tuple(sorted(edges)))
+        object.__setattr__(g, "_leaf_order", (list(parent), parent))
         return g
 
     def _set(self, vertices, edges) -> None:
@@ -140,6 +147,12 @@ class PlumbingGraph:
                     parent[u] = v
                     order.append(u)
         return order, parent
+
+    @functools.cached_property
+    def _odd(self) -> frozenset[int]:
+        """The vertices of odd weight, the only ones a Wu check must reach
+        beyond the support; computed once per graph, outside ==."""
+        return frozenset(v for v, w in self.vertices if w & 1)
 
     @functools.cached_property
     def _inertia(self) -> tuple[int, int, int]:
@@ -329,10 +342,11 @@ def wu_solutions(g: PlumbingGraph) -> list[WuVector]:
     for free in range(1 << k):
         at = free << 1 | 1  # the constant bit, then the free variables' values
         support = frozenset(v for v in order if (x[v] & at).bit_count() & 1)
-        for i, j in g.edges:
-            assert not (i in support and j in support), (
-                f"adjacent Wu pair {i},{j}: not a plumbing tree?"
-            )
+        for v in support:
+            for u in g._adj[v]:
+                assert u not in support, (
+                    f"adjacent Wu pair {min(u, v)},{max(u, v)}: not a plumbing tree?"
+                )
         sols.append(WuVector(support))
     sols.sort(key=lambda w: sorted(w.support))
     return sols
@@ -343,18 +357,16 @@ def _is_wu(g: PlumbingGraph, w: WuVector) -> bool:
 
     (M w)_v is w_v M_vv plus the number of support neighbours of v, so the
     condition is that this count has the parity of M_vv when v is outside
-    the support, and is even when v is in it.
+    the support, and is even when v is in it: the vertices with an odd
+    count must be exactly the odd-weight vertices outside the support.
+    Only the support's neighbour lists are read.
     """
     w._check_in(g)
     support = w.support
-    for v, wt in g.vertices:
-        odd = 0 if v in support else wt & 1
-        for u in g._adj[v]:
-            if u in support:
-                odd ^= 1
-        if odd:
-            return False
-    return True
+    odd_count = set()
+    for v in support:
+        odd_count.symmetric_difference_update(g._adj[v])
+    return odd_count == g._odd - support
 
 
 def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
@@ -449,30 +461,26 @@ def chain_graph(weights, start_id: int = 0) -> PlumbingGraph:
     """Linear chain with consecutive ids from ``start_id``, in weight order."""
     weights = list(weights)
     ids = range(start_id, start_id + len(weights))
-    return PlumbingGraph._from_tree(
-        zip(ids, weights),
-        [(i, i + 1) for i in ids[:-1]],
-    )
+    return PlumbingGraph._from_tree(weights, dict(zip(ids, itertools.chain((None,), ids))))
 
 
 def star_graph(center_weight: int, arms) -> PlumbingGraph:
     """Star-shaped tree: center id 0, each arm a chain hanging off it.
 
-    Ids are consecutive along each arm, arm after arm, and every edge joins
-    an earlier vertex to the next new one, so the result is a tree by
-    construction and is built without ``PlumbingGraph``'s re-validation.
+    Ids are consecutive along each arm, arm after arm, and every new vertex
+    hangs off an earlier one, so the result is a tree by construction, in a
+    rooted order, and is built without ``PlumbingGraph``'s re-validation.
     """
-    vertices = [(0, center_weight)]
-    edges = []
-    nxt = 1
+    weights = [center_weight]
+    parent = {0: None}
     for arm in arms:
         prev = 0
         for w in arm:
-            vertices.append((nxt, w))
-            edges.append((prev, nxt))
+            nxt = len(weights)
+            weights.append(w)
+            parent[nxt] = prev
             prev = nxt
-            nxt += 1
-    return PlumbingGraph._from_tree(vertices, edges)
+    return PlumbingGraph._from_tree(weights, parent)
 
 
 def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:

@@ -30,6 +30,7 @@ rules.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -74,26 +75,23 @@ def is_spin_sign_admissible(q: int, p: int, eps: int) -> bool:
 # even continued fractions
 
 
-def _nearest_even(p: int, q: int) -> int:
-    # The unique even a with |p - a*q| < |q|.  A tie |p - a*q| = |q| would
-    # force q | p, impossible for coprime input with |q| >= 1 unless the
-    # remainder is 0, which the caller handles by terminating.
-    if q < 0:
-        p, q = -p, -q
-    b, r = divmod(p, 2 * q)
-    if r > q:
-        b += 1
-    elif r == q:
-        raise AssertionError(f"even-quotient tie for {p}/{q}; input not coprime?")
-    return 2 * b
-
-
 def even_cf_expand(p: int, q: int) -> tuple[int, ...]:
     """Expand p/q as [[a_1, ..., a_n]] with every a_i even, |a_i| >= 2.
 
     Exists and is unique exactly when gcd(p, q) = 1, p + q is odd and
     |p| > |q| >= 1.  Each step takes the unique even a with |p - a*q| < |q|
-    and recurses on (q, a*q - p).
+    and recurses on (q, a*q - p).  The entries depend on p/q alone, so the
+    pair is kept with q > 0.
+
+    Along a run of entries a = 2h (h = +-1), each step is, up to the sign
+    of the pair, (p, q) -> (p - e, q - h*e) with e = p - h*q, and e does
+    not change.  So a whole run is one step, as in the Euclidean
+    reciprocity algorithm for Dedekind sums (Rademacher-Grosswald, 1972):
+    with d = |p| - |q| the run has j = (3|q| - |p| - 1) // (2d) + 1
+    entries, and (p, q) becomes (p - j*e, q - h*j*e).  That step is taken
+    when the run has at least two entries, 5|q| > 3|p|; a lone +-2 and
+    every |a| >= 4 cost one division each.  So p/(p - 1), whose p - 1
+    entries are all 2, takes one step; only the returned tuple is O(p).
     """
     if q == 0:
         raise ValueError("q must be nonzero")
@@ -108,9 +106,23 @@ def even_cf_expand(p: int, q: int) -> tuple[int, ...]:
         raise ValueError(f"need |p| > |q|, got {p}/{q}")
     entries = []
     while q != 0:
-        a = _nearest_even(p, q)
-        entries.append(a)
-        p, q = q, a * q - p
+        if q < 0:
+            p, q = -p, -q
+        # a = 2h, the even number nearest p/q; a tie |p - a*q| = q would
+        # need q | p, so q = 1 and p odd, which the parity rule excludes
+        h, r = divmod(p, 2 * q)
+        if r > q:
+            h += 1
+        elif r == q:
+            raise AssertionError(f"even-quotient tie for {p}/{q}; input not coprime?")
+        if (h == 1 or h == -1) and 5 * q > 3 * h * p:  # then h*p = |p|
+            j = (3 * q - h * p - 1) // (2 * (h * p - q)) + 1
+            entries.extend(itertools.repeat(2 * h, j))
+            e = p - h * q
+            p, q = p - j * e, q - h * j * e
+        else:
+            entries.append(2 * h)
+            p, q = q, 2 * h * q - p
     return tuple(entries)
 
 
@@ -125,17 +137,19 @@ def _check_cf_entries(entries) -> tuple[int, ...]:
 def cf_eval(entries) -> Fraction:
     """Value of [[a_1, ..., a_n]] = a_1 - 1/(a_2 - ... - 1/a_n) as a Fraction.
 
-    Every tail of a valid even expansion has absolute value > 1, so the
-    nested divisions never blow up; we assert that as we fold.
+    Folded from the tail on integer continuants: a tail num/den becomes
+    (a*num - den)/num, with one Fraction at the end.  Every tail of a valid
+    even expansion has absolute value > 1, so no step divides by zero; we
+    assert that as we fold.
     """
     entries = _check_cf_entries(entries)
     if not entries:
         raise ValueError("empty continued fraction has no rational value")
-    val = Fraction(entries[-1])
+    num, den = entries[-1], 1
     for a in reversed(entries[:-1]):
-        assert abs(val) > 1, "even continued fraction tail <= 1 in absolute value"
-        val = a - 1 / val
-    return val
+        assert abs(num) > abs(den), "even continued fraction tail <= 1 in absolute value"
+        num, den = a * num - den, num
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -515,10 +515,28 @@ def _validated_star(center, arms):
     return PlumbingGraph(vertices, edges)
 
 
+def _assert_rooted_order(g):
+    """The builder's ``_leaf_order`` is a rooted order of the tree: the first
+    vertex first, each vertex after its parent, a neighbour, and all covered;
+    and the passes that walk it agree with the validating constructor's."""
+    order, parent = g._leaf_order
+    assert order == list(parent) and sorted(order) == sorted(g.ids)
+    if order:
+        assert order[0] == g.vertices[0][0] and parent[order[0]] is None
+    seen = set(order[:1])
+    for v in order[1:]:
+        assert parent[v] in seen and parent[v] in g.neighbors(v)
+        seen.add(v)
+    h = PlumbingGraph(g.vertices, g.edges)
+    assert _wu_outcome(wu_solutions, g) == _wu_outcome(wu_solutions, h)
+    assert g._inertia == h._inertia
+
+
 def _assert_same_graph(g, h):
     assert (g.vertices, g.edges) == (h.vertices, h.edges) and g == h
     assert g._weight == h._weight and g._adj == h._adj
     assert all(type(w) is int for _, w in g.vertices)
+    _assert_rooted_order(g)
 
 
 @settings(max_examples=200, deadline=None)
@@ -540,20 +558,45 @@ def test_star_builders_match_the_validating_constructor(center, arms):
     _assert_same_graph(parse_star(text), expected)
 
 
+def test_compiled_trees_keep_their_rooted_order():
+    # the empty chain, lens chains (p = 1 is the empty graph) and stars
+    graphs = [chain_graph([])]
+    graphs += [seifert_to_plumbing(LensSpace(p, q, eps))[0]
+               for p, q, eps in ((1, 1, 1), (2, 1, 1), (7, 2, -1), (12, 5, 1), (101, 100, -1))]
+    for case in list(iter_cases(k_span=1, n_max=6, b_max=6))[::7]:
+        graphs.append(seifert_to_plumbing(*instantiate_case(case))[0])
+    for g in graphs:
+        _assert_rooted_order(g)
+
+
 def test_inertia_is_computed_once_per_graph(monkeypatch):
-    g = star_graph(0, [(0,), (2,), (-2, 1), (3,)])
-    h = star_graph(0, [(0,), (2,), (-2, 1), (3,)])
+    arms = [(0,), (2,), (-2, 1), (3,)]
+    doc = graph_to_json(star_graph(0, arms))
+    h = star_graph(0, arms)
     calls = []
     real = plumbing._tree_inertia
     monkeypatch.setattr(plumbing, "_tree_inertia", lambda g: calls.append(g) or real(g))
-    # the rooted order is walked once, for the Wu solve and the inertia alike
+    # the rooted order is searched for once per validated graph, for the
+    # connectivity check, the Wu solve and the inertia alike, and never for
+    # a builder's tree, which comes with its own
     orders = []
     prop = plumbing.PlumbingGraph.__dict__["_leaf_order"]
     real_order = prop.func
     monkeypatch.setattr(prop, "func", lambda g: orders.append(real_order(g)) or orders[-1])
-    deltas = [plumbing_delta(g, w) for w in wu_solutions(g)]
-    assert len(deltas) > 1 and len(calls) == 1
-    assert len(orders) == 1 and g._leaf_order is orders[0]
+    for make, searches in (
+        (lambda: star_graph(0, arms), 0),
+        (lambda: PlumbingGraph(h.vertices, h.edges), 1),
+        (lambda: graph_from_json(doc)[0], 1),
+    ):
+        calls.clear()
+        orders.clear()
+        g = make()
+        deltas = [plumbing_delta(g, w) for w in wu_solutions(g)]
+        assert len(deltas) > 1 and len(calls) == 1
+        assert len(orders) == searches
+        if searches:
+            assert g._leaf_order is orders[0]
+    g = star_graph(0, arms)
     assert g._inertia == real(g) == signature(intersection_matrix(g))
     # a cached value, like the lookup maps, stays out of ==, hash and repr
     assert g == h and hash(g) == hash(h)

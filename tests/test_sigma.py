@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -174,6 +175,83 @@ def test_lens_relabelling_convention():
 # --- even continued fractions --------------------------------------------------
 
 
+def _nearest_even(p, q):
+    # the unique even a with |p - a*q| < |q|
+    if q < 0:
+        p, q = -p, -q
+    b, r = divmod(p, 2 * q)
+    if r > q:
+        b += 1
+    assert r != q, f"even-quotient tie for {p}/{q}"
+    return 2 * b
+
+
+def _expand_per_entry(p, q):
+    """``even_cf_expand`` one division per entry, runs of +-2 included: the
+    oracle for its run-length steps (input already validated)."""
+    entries = []
+    while q != 0:
+        a = _nearest_even(p, q)
+        entries.append(a)
+        p, q = q, a * q - p
+    return tuple(entries)
+
+
+def _fraction_fold(entries):
+    """``cf_eval`` as a Fraction per entry: the oracle for its integer fold."""
+    val = Fraction(entries[-1])
+    for a in reversed(entries[:-1]):
+        val = a - 1 / val
+    return val
+
+
+def _assert_expansion(p, q):
+    entries = even_cf_expand(p, q)
+    assert entries == _expand_per_entry(p, q), (p, q)
+    assert cf_eval(entries) == Fraction(p, q)
+    return entries
+
+
+def test_expansion_matches_the_per_entry_loop_below_200():
+    checked = 0
+    for p in range(2, 200):
+        for q in range(1 - p, p):
+            if (p + q) % 2 and math.gcd(p, q) == 1:
+                _assert_expansion(p, q)
+                _assert_expansion(-p, q)
+                checked += 2
+    assert checked > 15000
+
+
+@st.composite
+def _thirty_digit_pairs(draw):
+    # q stays at least a thousandth of p below p, so that a run of 2s at
+    # the start, which the per-entry oracle walks entry by entry, is short;
+    # a pair of the same parity becomes (p + q, q), which keeps the gcd 1
+    x = draw(st.integers(10**29, 10**30))
+    y = draw(st.integers(1, x - x // 1000))
+    g = math.gcd(x, y)
+    p, q = x // g, y // g
+    if (p + q) % 2 == 0:
+        p += q
+    return draw(st.sampled_from((p, -p))), draw(st.sampled_from((q, -q)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_thirty_digit_pairs())
+def test_expansion_matches_the_per_entry_loop_on_thirty_digit_pairs(pq):
+    entries = _assert_expansion(*pq)
+    assert cf_eval(entries) == _fraction_fold(entries)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 10, 11, 32, 99, 100, 317, 1000, 1001, 3162, 10**4])
+def test_expansion_matches_the_per_entry_loop_on_runs(p):
+    # p/(p - 1) is p - 1 entries 2; (p + 1)/p, the lens chain's shape, p twos
+    for pp, q in ((p, p - 1), (p + 1, p)):
+        for sp, sq in itertools.product((1, -1), repeat=2):
+            _assert_expansion(sp * pp, sq * q)
+
+
 @pytest.mark.parametrize(
     "p,q,expected",
     [
@@ -206,6 +284,7 @@ def test_every_even_word_is_an_expansion(entries):
     # any word in even digits |a| >= 2 evaluates to a fraction whose
     # expansion is the word itself (uniqueness)
     val = cf_eval(entries)
+    assert val == _fraction_fold(entries)
     assert even_cf_expand(val.numerator, val.denominator) == tuple(entries)
 
 
