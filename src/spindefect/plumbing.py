@@ -30,9 +30,15 @@ parent at 0, and its own value is then defined by the parent's equation,
 or is free when a sibling already fixed the parent.  Back-substitution from
 the root gives every solution as an affine form in the free variables, so
 the whole solve is linear in the tree, with no fill-in and no dense matrix.
-The rooted order both passes walk comes with a builder's tree: the builders
-make each vertex after its parent and hand that order over.  A graph from
-the validating constructor gets it once, from its connectivity check.
+
+Both passes run over positions in one rooted order of the tree, stored
+once per graph as three aligned lists: the vertex ids with the root first
+and every vertex after its parent, their weights, and each parent's
+position.  The builders make each vertex after its parent and hand those
+lists over; a graph from the validating constructor gets them once, from
+its connectivity check.  Every tree edge joins a vertex to its parent, so
+the passes need no adjacency map, and a builder's tree that is only
+compiled, solved and measured never builds one.
 """
 
 from __future__ import annotations
@@ -93,60 +99,75 @@ class PlumbingGraph:
         if vertices and len(norm) != len(vertices) - 1:
             raise ValueError("not a tree: |edges| != |vertices| - 1")
         self._set(vertices, tuple(sorted(norm)))
-        if len(self._leaf_order[0]) != len(vertices):
+        if len(self._rooted[0]) != len(vertices):
             raise ValueError("not a tree: graph is disconnected")
 
     @classmethod
-    def _from_tree(cls, weights, parent) -> PlumbingGraph:
+    def _from_tree(cls, weights, up, start_id: int = 0) -> PlumbingGraph:
         """A graph from a builder that has just made a tree, not re-validated.
 
-        ``parent`` maps each vertex id to its parent, None at the root, in
-        the order the builder made them, and ``weights`` come in that
-        order.  The builder guarantees what ``chain_graph`` and
-        ``star_graph`` do: the root comes first and every other vertex
-        after its parent, with a larger id.  So that order is a rooted
-        order, stored as ``_leaf_order`` without a search, and each
-        (parent, child) pair is an edge already in (min, max) form.
-        Weights still go through ``int()``.  Graphs from outside come
-        through ``__init__`` instead.
+        ``weights`` and ``up`` are aligned by position: the vertex at
+        position i has id ``start_id + i``, weight ``weights[i]`` and its
+        parent at position ``up[i]``, -1 at the root.  The builder
+        guarantees what ``chain_graph`` and ``star_graph`` do: the root
+        comes first and every other vertex after its parent.  So the
+        positions are a rooted order, stored as ``_rooted`` without a
+        search, and each (parent, child) pair is an edge already in
+        (min, max) form.  Weights still go through ``int()``.  Graphs from
+        outside come through ``__init__`` instead.
         """
         g = object.__new__(cls)
-        edges = [(u, v) for v, u in parent.items() if u is not None]
-        g._set(tuple(zip(parent, map(int, weights))), tuple(sorted(edges)))
-        object.__setattr__(g, "_leaf_order", (list(parent), parent))
+        weights = list(map(int, weights))
+        up = list(up)
+        order = list(range(start_id, start_id + len(weights)))
+        edges = sorted(zip([order[p] for p in up[1:]], order[1:]))
+        g._set(tuple(zip(order, weights)), tuple(edges))
+        object.__setattr__(g, "_rooted", (order, weights, up))
         return g
 
     def _set(self, vertices, edges) -> None:
-        """Store the fields and build the lookup maps; ``edges`` come sorted."""
-        adj = {i: [] for i, _ in vertices}
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
+        """Store the fields and the weight map; ``edges`` come sorted."""
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-        # lookup maps, not dataclass fields: they stay out of == and hash;
-        # sorted edges list each vertex's neighbours in ascending order
+        # a lookup map, not a dataclass field: it stays out of == and hash
         object.__setattr__(self, "_weight", dict(vertices))
-        object.__setattr__(self, "_adj", {i: tuple(nb) for i, nb in adj.items()})
 
     @functools.cached_property
-    def _leaf_order(self) -> tuple[list[int], dict]:
-        """Breadth-first order from the first vertex (every vertex after its
-        parent), and each vertex's parent (None at the root); ([], {}) for
-        the empty graph.  Computed once per graph and, like the lookup maps,
-        outside ==."""
+    def _adj(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's neighbours, in ascending order because the edges
+        come sorted.  Built from ``edges`` on first use, by the connectivity
+        search, ``neighbors`` / ``degree``, a Wu check on a nonempty support
+        and ``blow_down``; outside ==."""
+        adj = {i: [] for i, _ in self.vertices}
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        return {i: tuple(nb) for i, nb in adj.items()}
+
+    @functools.cached_property
+    def _rooted(self) -> tuple[list[int], list[int], list[int]]:
+        """(order, weights, up): the vertex ids in breadth-first order from
+        the first vertex (every vertex after its parent, neighbours in
+        ascending order), their weights, and each one's parent as a
+        position in ``order``, -1 at the root; ([], [], []) for the empty
+        graph.  Computed once per graph and, like the lookup maps, outside
+        ==.  On a graph that is not connected, ``order`` misses the
+        vertices the search did not reach."""
         if not self.vertices:
-            return [], {}
+            return [], [], []
         adj = self._adj
         root = self.vertices[0][0]
-        parent = {root: None}
+        seen = {root}
         order = [root]
-        for v in order:
+        up = [-1]
+        for i, v in enumerate(order):
             for u in adj[v]:
-                if u not in parent:
-                    parent[u] = v
+                if u not in seen:
+                    seen.add(u)
                     order.append(u)
-        return order, parent
+                    up.append(i)
+        weight = self._weight
+        return order, [weight[v] for v in order], up
 
     @functools.cached_property
     def _odd(self) -> frozenset[int]:
@@ -184,7 +205,7 @@ class WuVector:
     support: frozenset[int]
 
     def __init__(self, support=()):
-        object.__setattr__(self, "support", frozenset(int(v) for v in support))
+        object.__setattr__(self, "support", frozenset(map(int, support)))
 
     def as_bits(self, g: PlumbingGraph) -> tuple[int, ...]:
         self._check_in(g)
@@ -268,16 +289,17 @@ def signature(m) -> tuple[int, int, int]:
     return plus, minus, n - plus - minus
 
 
-def _wu_forms(g: PlumbingGraph) -> tuple[list[int], dict, int]:
+def _wu_forms(g: PlumbingGraph) -> tuple[list[int], int]:
     """Solve M x = diag(M) over GF(2) from the leaves to the root.
 
-    Returns (order, forms, k): each x_v as an affine form over the k free
-    variables, bit 0 its constant and bit j + 1 free variable j.  Eliminating
-    leaves first is a perfect elimination order on a tree, so once v's
-    children are done its equation holds only x_v, x_parent and the x of its
-    children with reduced diagonal 0.  That diagonal, eff_v, is w_v mod 2
-    plus the number of children with eff 1, and it is also the equation's
-    right-hand side: folding in an eff-1 child flips both.
+    Returns (x, k): x[i], for the vertex at position i of ``g._rooted``, as
+    an affine form over the k free variables, bit 0 its constant and bit
+    j + 1 free variable j.  Eliminating leaves first is a perfect
+    elimination order on a tree, so once v's children are done its equation
+    holds only x_v, x_parent and the x of its children with reduced diagonal
+    0.  That diagonal, eff_v, is w_v mod 2 plus the number of children with
+    eff 1, and it is also the equation's right-hand side: folding in an
+    eff-1 child flips both.
 
     - eff 1: x_v = 1 + x_parent, folded into the parent's equation.
     - eff 0: the equation reads x_parent = 0.  The first such child c pins
@@ -288,41 +310,45 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[int], dict, int]:
     as it is for any symmetric form.  Raises NoSolution past the enumeration
     cap, before any form is built.
     """
-    order, parent = g._leaf_order
-    eff = {v: w & 1 for v, w in g.vertices}
-    zeros = {}  # pinned vertex -> its eff-0 children, the first one defined
+    _, weights, up = g._rooted
+    n = len(weights)
+    eff = [w & 1 for w in weights]
+    pinned = [None] * n  # a pinned vertex's eff-0 children, the first one defined
     free = []
-    for v in reversed(order):
-        up = parent[v]
-        if v in zeros:
+    for i in range(n - 1, -1, -1):
+        if pinned[i] is not None:
             continue  # x_v = 0: nothing to fold into the parent
-        if eff[v]:
-            if up is not None:
-                eff[up] ^= 1
-        elif up is None or up in zeros:
-            free.append(v)
-            if up is not None:
-                zeros[up].append(v)
+        p = up[i]
+        if eff[i]:
+            if p >= 0:
+                eff[p] ^= 1
+        elif p < 0:
+            free.append(i)
+        elif pinned[p] is not None:
+            free.append(i)
+            pinned[p].append(i)
         else:
-            zeros[up] = [v]
+            pinned[p] = [i]
     if len(free) > _KERNEL_CAP:
         raise NoSolution(
             f"GF(2) kernel dimension {len(free)} exceeds the enumeration cap"
         )
-    x = {v: 2 << j for j, v in enumerate(free)}
-    for v in order:  # root first: x_parent is known before x_v
-        up = parent[v]
-        above = 0 if up is None else x[up]
-        if v in zeros:
-            x[v] = 0
-            first, *rest = zeros[v]
-            f = eff[v] ^ above
-            for u in rest:
-                f ^= x[u]
-            x[first] = f
-        elif v not in x:  # free variables and defined children are set
-            x[v] = 1 ^ above
-    return order, x, len(free)
+    x = [-1] * n  # -1: not yet set
+    for j, i in enumerate(free):
+        x[i] = 2 << j
+    for i in range(n):  # root first: x_parent is known before x_v
+        p = up[i]
+        above = 0 if p < 0 else x[p]
+        children = pinned[i]
+        if children is not None:
+            x[i] = 0
+            f = eff[i] ^ above
+            for c in children[1:]:
+                f ^= x[c]
+            x[children[0]] = f
+        elif x[i] < 0:  # free variables and defined children are set
+            x[i] = 1 ^ above
+    return x, len(free)
 
 
 def wu_solutions(g: PlumbingGraph) -> list[WuVector]:
@@ -332,22 +358,31 @@ def wu_solutions(g: PlumbingGraph) -> list[WuVector]:
     functional vanishes on the kernel of a symmetric form); it is solved in
     one pass from the leaves to the root, O(n) up to the 2^k solutions of a
     kernel of dimension k.  NoSolution is raised when k exceeds the
-    enumeration cap.  Solutions are checked against the fact that no two
-    adjacent vertices can both carry eps = 1.
+    enumeration cap.  The vertices are grouped by their nonzero affine form
+    once, so a solution's support is the union of the groups whose form is
+    odd there.  Solutions are checked against the fact that no two adjacent
+    vertices can both carry eps = 1; every tree edge joins a vertex to its
+    parent, so the check reads each support vertex's parent.
     """
     if len(g) == 0:
         return [WuVector()]
-    order, x, k = _wu_forms(g)
+    order, _, up = g._rooted
+    x, k = _wu_forms(g)
+    groups = {}  # nonzero form -> positions carrying it
+    for i, f in enumerate(x):
+        if f:
+            groups.setdefault(f, []).append(i)
     sols = []
     for free in range(1 << k):
         at = free << 1 | 1  # the constant bit, then the free variables' values
-        support = frozenset(v for v in order if (x[v] & at).bit_count() & 1)
-        for v in support:
-            for u in g._adj[v]:
-                assert u not in support, (
-                    f"adjacent Wu pair {min(u, v)},{max(u, v)}: not a plumbing tree?"
-                )
-        sols.append(WuVector(support))
+        support = {i for f, at_f in groups.items() if (f & at).bit_count() & 1 for i in at_f}
+        for i in support:
+            p = up[i]
+            assert p not in support, (
+                f"adjacent Wu pair {min(order[i], order[p])},{max(order[i], order[p])}: "
+                "not a plumbing tree?"
+            )
+        sols.append(WuVector(order[i] for i in support))
     sols.sort(key=lambda w: sorted(w.support))
     return sols
 
@@ -387,32 +422,33 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
     own parent.  Any further zero child of that parent is then isolated and
     adds one to n_zero.
     """
-    order, parent = g._leaf_order
-    num = dict(g._weight)
-    den = dict.fromkeys(num, 1)
-    zero_children = dict.fromkeys(num, 0)
+    _, weights, up = g._rooted
+    n = len(weights)
+    num = list(weights)
+    den = [1] * n
+    zero_children = [0] * n
     plus = minus = zero = 0
-    for v in reversed(order):
-        if zero_children[v]:
+    for i in range(n - 1, -1, -1):
+        if zero_children[i]:
             plus += 1
             minus += 1
-            zero += zero_children[v] - 1
+            zero += zero_children[i] - 1
             continue
-        a, b, up = num[v], den[v], parent[v]
+        a, b, p = num[i], den[i], up[i]
         if a == 0:
-            if up is None:
+            if p < 0:
                 zero += 1
             else:
-                zero_children[up] += 1
+                zero_children[p] += 1
             continue
         if (a > 0) == (b > 0):
             plus += 1
         else:
             minus += 1
-        if up is not None:
-            # eff(up) -= 1 / (a / b)
-            num[up] = num[up] * a - den[up] * b
-            den[up] *= a
+        if p >= 0:
+            # eff(p) -= 1 / (a / b)
+            num[p] = num[p] * a - den[p] * b
+            den[p] *= a
     return plus, minus, zero
 
 
@@ -460,8 +496,7 @@ def blow_down(g: PlumbingGraph, w: WuVector, v: int) -> tuple[PlumbingGraph, lis
 def chain_graph(weights, start_id: int = 0) -> PlumbingGraph:
     """Linear chain with consecutive ids from ``start_id``, in weight order."""
     weights = list(weights)
-    ids = range(start_id, start_id + len(weights))
-    return PlumbingGraph._from_tree(weights, dict(zip(ids, itertools.chain((None,), ids))))
+    return PlumbingGraph._from_tree(weights, range(-1, len(weights) - 1), start_id)
 
 
 def star_graph(center_weight: int, arms) -> PlumbingGraph:
@@ -472,15 +507,14 @@ def star_graph(center_weight: int, arms) -> PlumbingGraph:
     rooted order, and is built without ``PlumbingGraph``'s re-validation.
     """
     weights = [center_weight]
-    parent = {0: None}
+    up = [-1]
     for arm in arms:
-        prev = 0
-        for w in arm:
-            nxt = len(weights)
-            weights.append(w)
-            parent[nxt] = prev
-            prev = nxt
-    return PlumbingGraph._from_tree(weights, parent)
+        start = len(weights)
+        weights.extend(arm)
+        if len(weights) > start:
+            up.append(0)
+            up.extend(range(start, len(weights) - 1))
+    return PlumbingGraph._from_tree(weights, up)
 
 
 def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:

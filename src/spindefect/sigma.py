@@ -92,6 +92,8 @@ def even_cf_expand(p: int, q: int) -> tuple[int, ...]:
     when the run has at least two entries, 5|q| > 3|p|; a lone +-2 and
     every |a| >= 4 cost one division each.  So p/(p - 1), whose p - 1
     entries are all 2, takes one step; only the returned tuple is O(p).
+    A run of more than ``sys.maxsize`` entries cannot be listed and raises
+    ValueError naming its length.
     """
     if q == 0:
         raise ValueError("q must be nonzero")
@@ -117,7 +119,13 @@ def even_cf_expand(p: int, q: int) -> tuple[int, ...]:
             raise AssertionError(f"even-quotient tie for {p}/{q}; input not coprime?")
         if (h == 1 or h == -1) and 5 * q > 3 * h * p:  # then h*p = |p|
             j = (3 * q - h * p - 1) // (2 * (h * p - q)) + 1
-            entries.extend(itertools.repeat(2 * h, j))
+            try:
+                entries.extend(itertools.repeat(2 * h, j))
+            except OverflowError:
+                raise ValueError(
+                    f"the even expansion has a run of {j} entries {2 * h}, "
+                    "too many to list"
+                ) from None
             e = p - h * q
             p, q = p - j * e, q - h * j * e
         else:
@@ -171,6 +179,11 @@ def sigma(q: int, p: int, eps: int) -> int:
     * both odd: one eps reduces to the previous bullet; the other never
       meets the base rules and is evaluated by extending reciprocity to
       same-parity pairs (see the module docstring).
+
+    The sign sum lists the expansion's entries, so a pair whose expansion
+    holds a run of more than ``sys.maxsize`` entries raises ValueError from
+    ``even_cf_expand``.  Such pairs wait for a sign sum taken run by run,
+    without listing the entries.
     """
     _check_eps(eps)
     if p == 0:

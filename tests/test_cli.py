@@ -114,6 +114,17 @@ def test_exit_codes_for_input_errors(capsys):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("evencf", "1418743667764364333709519393452", "709016970533566768071940907347"),
+    ("sigma", "709016970533566768071940907347", "1418743667764364333709519393452",
+     "--eps", "-1"),
+])
+def test_a_run_too_long_to_list_exits_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "too many to list" in err
+
+
 def test_inadmissible_lens_sign_exits_2_with_the_admissible_one(capsys):
     rc, out, err = run(capsys, "delta", "--lens", "3", "-2", "--eps", "1")
     assert rc == 2

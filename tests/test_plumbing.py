@@ -115,11 +115,12 @@ def test_signature_against_eigenvalue_counts():
 
 @st.composite
 def random_trees(draw, max_vertices=14, weight=st.integers(-3, 3)):
-    """Trees of up to max_vertices with weights from ``weight`` and shuffled ids."""
+    """Trees of up to max_vertices with weights from ``weight`` and distinct
+    ids from a sparse signed range, so that an id is not its position."""
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     weights = draw(st.lists(weight, min_size=n, max_size=n))
     parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
-    ids = draw(st.permutations(range(n)))
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
     return PlumbingGraph(
         [(ids[i], w) for i, w in enumerate(weights)],
         [(ids[p], ids[i]) for i, p in enumerate(parents, start=1)],
@@ -279,6 +280,22 @@ def test_wu_solutions_fixtures():
     # a single odd vertex forces eps = 1
     assert wu_solutions(PlumbingGraph([(0, 3)])) == [WuVector([0])]
     assert wu_solutions(E8) == [WuVector()]
+
+
+def test_wu_solutions_assert_no_support_vertex_is_next_to_its_parent(monkeypatch):
+    # BFS from 7 puts -5 at position 1 and 300 at position 2, below -5
+    g = PlumbingGraph([(7, -2), (300, -2), (-5, -2)], [(300, -5), (-5, 7)])
+    assert g._rooted == ([7, -5, 300], [-2, -2, -2], [-1, 0, 1])
+    real = plumbing._wu_forms
+
+    def forms(h):
+        x, k = real(h)
+        x[2] = x[1] = 1  # a vertex and its parent both carry eps = 1
+        return x, k
+
+    monkeypatch.setattr(plumbing, "_wu_forms", forms)
+    with pytest.raises(AssertionError, match="adjacent Wu pair -5,300"):
+        wu_solutions(g)
 
 
 def test_wu_non_adjacency_and_count():
@@ -516,17 +533,18 @@ def _validated_star(center, arms):
 
 
 def _assert_rooted_order(g):
-    """The builder's ``_leaf_order`` is a rooted order of the tree: the first
-    vertex first, each vertex after its parent, a neighbour, and all covered;
-    and the passes that walk it agree with the validating constructor's."""
-    order, parent = g._leaf_order
-    assert order == list(parent) and sorted(order) == sorted(g.ids)
+    """``_rooted`` is a rooted order of the tree: the first vertex first,
+    each vertex after its parent, a neighbour, all covered, and the weights
+    aligned; and the passes that walk it agree with the validating
+    constructor's."""
+    order, weights, up = g._rooted
+    assert len(order) == len(weights) == len(up)
+    assert sorted(order) == sorted(g.ids)
+    assert weights == [g.weight(v) for v in order]
     if order:
-        assert order[0] == g.vertices[0][0] and parent[order[0]] is None
-    seen = set(order[:1])
-    for v in order[1:]:
-        assert parent[v] in seen and parent[v] in g.neighbors(v)
-        seen.add(v)
+        assert order[0] == g.vertices[0][0] and up[0] == -1
+    for i in range(1, len(order)):
+        assert 0 <= up[i] < i and order[up[i]] in g.neighbors(order[i])
     h = PlumbingGraph(g.vertices, g.edges)
     assert _wu_outcome(wu_solutions, g) == _wu_outcome(wu_solutions, h)
     assert g._inertia == h._inertia
@@ -566,7 +584,19 @@ def test_compiled_trees_keep_their_rooted_order():
     for case in list(iter_cases(k_span=1, n_max=6, b_max=6))[::7]:
         graphs.append(seifert_to_plumbing(*instantiate_case(case))[0])
     for g in graphs:
+        # compiling, solving and measuring a builder's tree reads only its
+        # rooted arrays: the adjacency map is never built
+        assert WuVector() in wu_solutions(g)
+        plumbing_delta(g, WuVector())
+        assert "_adj" not in vars(g)
         _assert_rooted_order(g)
+        # built afterwards on demand, it lists neighbours in sorted-edge order
+        expected = {v: [] for v in g.ids}
+        for i, j in g.edges:
+            expected[i].append(j)
+            expected[j].append(i)
+        assert all(g.neighbors(v) == tuple(sorted(nb)) == tuple(nb)
+                   for v, nb in expected.items())
 
 
 def test_inertia_is_computed_once_per_graph(monkeypatch):
@@ -580,7 +610,7 @@ def test_inertia_is_computed_once_per_graph(monkeypatch):
     # connectivity check, the Wu solve and the inertia alike, and never for
     # a builder's tree, which comes with its own
     orders = []
-    prop = plumbing.PlumbingGraph.__dict__["_leaf_order"]
+    prop = plumbing.PlumbingGraph.__dict__["_rooted"]
     real_order = prop.func
     monkeypatch.setattr(prop, "func", lambda g: orders.append(real_order(g)) or orders[-1])
     for make, searches in (
@@ -595,12 +625,12 @@ def test_inertia_is_computed_once_per_graph(monkeypatch):
         assert len(deltas) > 1 and len(calls) == 1
         assert len(orders) == searches
         if searches:
-            assert g._leaf_order is orders[0]
+            assert g._rooted is orders[0]
     g = star_graph(0, arms)
     assert g._inertia == real(g) == signature(intersection_matrix(g))
     # a cached value, like the lookup maps, stays out of ==, hash and repr
     assert g == h and hash(g) == hash(h)
-    assert "_inertia" not in repr(g) and "_leaf_order" not in repr(g)
+    assert "_inertia" not in repr(g) and "_rooted" not in repr(g)
 
 
 def test_json_roundtrip():

@@ -303,6 +303,16 @@ def test_expansion_rejects_bad_input():
         cf_eval([])
 
 
+def test_a_run_too_long_to_list_raises_value_error():
+    # the expansion of this pair holds a run of about 2.6 * 10**21 twos,
+    # more than sys.maxsize: it is refused before the run is listed
+    p, q = 1418743667764364333709519393452, 709016970533566768071940907347
+    with pytest.raises(ValueError, match="run of 2610296979461915686707 entries 2"):
+        even_cf_expand(p, q)
+    with pytest.raises(ValueError, match="too many to list"):
+        sigma(q, p, -1)
+
+
 def test_sign_sum_rule():
     # opposite parity, eps = -1: the defect is minus the digit-sign sum
     for p, q in coprime_pairs(40):
