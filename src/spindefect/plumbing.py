@@ -34,11 +34,13 @@ the whole solve is linear in the tree, with no fill-in and no dense matrix.
 Both passes run over positions in one rooted order of the tree, stored
 once per graph as three aligned lists: the vertex ids with the root first
 and every vertex after its parent, their weights, and each parent's
-position.  The builders make each vertex after its parent and hand those
-lists over; a graph from the validating constructor gets them once, from
-its connectivity check.  Every tree edge joins a vertex to its parent, so
-the passes need no adjacency map, and a builder's tree that is only
-compiled, solved and measured never builds one.
+position.  Every tree edge joins a vertex to its parent, so the passes
+need nothing else.  The builders make each vertex after its parent, and
+those lists are all a builder's tree stores: its ``vertices`` and
+``edges`` fields and its weight and adjacency maps are derived from them
+on first use, so a tree that is only compiled, solved and measured never
+builds any of them.  A graph from the validating constructor stores the
+fields it was given and gets the lists once, from its connectivity check.
 """
 
 from __future__ import annotations
@@ -77,7 +79,10 @@ class PlumbingGraph:
     """A weighted tree: vertices as (id, weight) pairs, edges as id pairs.
 
     The empty graph is allowed (it is the terminal state of blow-down
-    sequences); any nonempty graph must be a connected tree.
+    sequences); any nonempty graph must be a connected tree.  A builder's
+    tree stores only its rooted arrays and derives ``vertices``, ``edges``
+    and the lookup maps on first use, storing each one once; ==, hash and
+    repr read the fields, so they see the same graph either way.
     """
 
     vertices: tuple[tuple[int, int], ...]
@@ -98,7 +103,8 @@ class PlumbingGraph:
             raise ValueError("duplicate edges")
         if vertices and len(norm) != len(vertices) - 1:
             raise ValueError("not a tree: |edges| != |vertices| - 1")
-        self._set(vertices, tuple(sorted(norm)))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", tuple(sorted(norm)))
         if len(self._rooted[0]) != len(vertices):
             raise ValueError("not a tree: graph is disconnected")
 
@@ -111,26 +117,39 @@ class PlumbingGraph:
         parent at position ``up[i]``, -1 at the root.  The builder
         guarantees what ``chain_graph`` and ``star_graph`` do: the root
         comes first and every other vertex after its parent.  So the
-        positions are a rooted order, stored as ``_rooted`` without a
-        search, and each (parent, child) pair is an edge already in
-        (min, max) form.  Weights still go through ``int()``.  Graphs from
-        outside come through ``__init__`` instead.
+        positions are a rooted order, and they are all that is stored, as
+        ``_rooted``, without a search.  The fields come from them on first
+        use (``__getattr__``); weights still go through ``int()``.  Graphs
+        from outside come through ``__init__`` instead.
         """
         g = object.__new__(cls)
         weights = list(map(int, weights))
-        up = list(up)
         order = list(range(start_id, start_id + len(weights)))
-        edges = sorted(zip([order[p] for p in up[1:]], order[1:]))
-        g._set(tuple(zip(order, weights)), tuple(edges))
-        object.__setattr__(g, "_rooted", (order, weights, up))
+        object.__setattr__(g, "_rooted", (order, weights, list(up)))
         return g
 
-    def _set(self, vertices, edges) -> None:
-        """Store the fields and the weight map; ``edges`` come sorted."""
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        # a lookup map, not a dataclass field: it stays out of == and hash
-        object.__setattr__(self, "_weight", dict(vertices))
+    def __getattr__(self, name):
+        """Derive a field a builder's tree has not stored yet, and store it.
+
+        Reached only when ``name`` is not in the instance dict.  Each
+        (parent, child) pair of the rooted order is an edge already in
+        (min, max) form.
+        """
+        if name == "vertices":
+            order, weights, _ = self._rooted
+            value = tuple(zip(order, weights))
+        elif name == "edges":
+            order, _, up = self._rooted
+            value = tuple(sorted(zip([order[p] for p in up[1:]], order[1:])))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
+    @functools.cached_property
+    def _weight(self) -> dict[int, int]:
+        """Each vertex's weight; built from ``vertices`` on first use, outside ==."""
+        return dict(self.vertices)
 
     @functools.cached_property
     def _adj(self) -> dict[int, tuple[int, ...]]:
@@ -150,9 +169,10 @@ class PlumbingGraph:
         the first vertex (every vertex after its parent, neighbours in
         ascending order), their weights, and each one's parent as a
         position in ``order``, -1 at the root; ([], [], []) for the empty
-        graph.  Computed once per graph and, like the lookup maps, outside
-        ==.  On a graph that is not connected, ``order`` misses the
-        vertices the search did not reach."""
+        graph.  A builder's tree is given them (``_from_tree``); a validated
+        graph computes them once, by this search.  Like the lookup maps,
+        they stay outside ==.  On a graph that is not connected, ``order``
+        misses the vertices the search did not reach."""
         if not self.vertices:
             return [], [], []
         adj = self._adj
@@ -172,8 +192,10 @@ class PlumbingGraph:
     @functools.cached_property
     def _odd(self) -> frozenset[int]:
         """The vertices of odd weight, the only ones a Wu check must reach
-        beyond the support; computed once per graph, outside ==."""
-        return frozenset(v for v, w in self.vertices if w & 1)
+        beyond the support; read off the rooted arrays once per graph,
+        outside ==."""
+        order, weights, _ = self._rooted
+        return frozenset(v for v, w in zip(order, weights) if w & 1)
 
     @functools.cached_property
     def _inertia(self) -> tuple[int, int, int]:
@@ -182,7 +204,7 @@ class PlumbingGraph:
         return _tree_inertia(self)
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self._rooted[0])
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -212,7 +234,8 @@ class WuVector:
         return tuple(1 if i in self.support else 0 for i in g.ids)
 
     def _check_in(self, g: PlumbingGraph) -> None:
-        unknown = self.support.difference(g._weight)
+        # an empty support is in every graph, and reads none of its maps
+        unknown = self.support and self.support.difference(g._weight)
         if unknown:
             raise ValueError(f"Wu support {sorted(unknown)} not in the graph")
 
@@ -557,7 +580,7 @@ def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
 def _lens_to_plumbing(lens: LensSpace) -> tuple[PlumbingGraph, WuVector]:
     p, q, eps = lens.p, lens.q, lens.eps
     if p == 1:
-        return PlumbingGraph([], []), WuVector()
+        return chain_graph([]), WuVector()
     # the eps = -1 chain expands q' = q, the eps = +1 chain q' = q + p, with
     # q' reduced mod 2p into (-p, p); for p odd the admissible eps makes q'
     # even, which is the spin chain
@@ -602,33 +625,43 @@ def graph_to_json(g: PlumbingGraph, w: WuVector | None = None) -> dict:
     return doc
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def graph_from_json(doc: dict) -> tuple[PlumbingGraph, WuVector | None]:
-    """Read the form written by ``graph_to_json``; ValueError on any other shape."""
+    """Read the form written by ``graph_to_json``; ValueError on any other shape.
+
+    Ids, weights, edge ends and Wu bits must be of type int exactly, so
+    booleans are refused.
+    """
     if not isinstance(doc, dict):
         raise ValueError("graph JSON must be an object")
+    bad_vertices = '"vertices" must be a list of {"id": int, "weight": int}'
     vertices = doc.get("vertices")
-    if not isinstance(vertices, list) or not all(
-        isinstance(v, dict) and _is_int(v.get("id")) and _is_int(v.get("weight"))
-        for v in vertices
-    ):
-        raise ValueError('"vertices" must be a list of {"id": int, "weight": int}')
+    if not isinstance(vertices, list):
+        raise ValueError(bad_vertices)
+    pairs = []
+    for v in vertices:
+        if not isinstance(v, dict):
+            raise ValueError(bad_vertices)
+        i, w = v.get("id"), v.get("weight")
+        if type(i) is not int or type(w) is not int:
+            raise ValueError(bad_vertices)
+        pairs.append((i, w))
+    bad_edges = '"edges" must be a list of [int, int] pairs'
     edges = doc.get("edges", [])
-    if not isinstance(edges, list) or not all(
-        isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e)) for e in edges
-    ):
-        raise ValueError('"edges" must be a list of [int, int] pairs')
-    g = PlumbingGraph(
-        [(v["id"], v["weight"]) for v in vertices],
-        [tuple(e) for e in edges],
-    )
+    if not isinstance(edges, list):
+        raise ValueError(bad_edges)
+    ends = []
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ValueError(bad_edges)
+        i, j = e
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(bad_edges)
+        ends.append((i, j))
+    g = PlumbingGraph(pairs, ends)
     w = None
     if "wu" in doc:
         bits = doc["wu"]
-        if not isinstance(bits, list) or not all(_is_int(b) and b in (0, 1) for b in bits):
+        if not isinstance(bits, list) or not all(type(b) is int and 0 <= b <= 1 for b in bits):
             raise ValueError('"wu" must be a list of 0/1')
         if len(bits) != len(g):
             raise ValueError("wu vector length does not match vertex count")

@@ -69,13 +69,18 @@ class SeifertData:
         if _euler_numerator(pairs) == 0:
             raise DegenerateEuler(f"Euler number of {pairs} vanishes")
         mults = sorted(a for a, _ in pairs)
-        if len(pairs) == 3 and mults[0] >= 2 and not _platonic(mults):
+        three_singular = len(pairs) == 3 and mults[0] >= 2
+        spherical = three_singular and _platonic(mults)
+        if three_singular and not spherical:
             # three genuinely singular fibers must sit over a spherical base
             raise ValueError(
                 f"multiplicities {tuple(mults)} give infinite fundamental group; "
                 "only (2,2,n), (2,3,3), (2,3,4), (2,3,5) are supported"
             )
         object.__setattr__(self, "pairs", pairs)
+        # the shape, read by is_spherical_candidate; not a dataclass field,
+        # so it stays out of ==, hash and repr
+        object.__setattr__(self, "_spherical", spherical)
 
     def __iter__(self):
         return iter(self.pairs)
@@ -88,10 +93,10 @@ class SeifertData:
 
         Multiplicities (2, 2, n), (2, 3, 3), (2, 3, 4) or (2, 3, 5) --
         together with e != 0 these are exactly the fibrations with finite
-        fundamental group and three exceptional fibers.
+        fundamental group and three exceptional fibers.  Decided once, by
+        the constructor.
         """
-        mults = sorted(a for a, _ in self.pairs)
-        return len(mults) == 3 and mults[0] >= 2 and _platonic(mults)
+        return self._spherical
 
 
 def _platonic(sorted_mults) -> bool:

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 import time
@@ -576,6 +579,10 @@ def test_star_builders_match_the_validating_constructor(center, arms):
     _assert_same_graph(parse_star(text), expected)
 
 
+# what a builder's tree derives from its rooted arrays on first use
+_DERIVED = {"vertices", "edges", "_weight", "_adj"}
+
+
 def test_compiled_trees_keep_their_rooted_order():
     # the empty chain, lens chains (p = 1 is the empty graph) and stars
     graphs = [chain_graph([])]
@@ -585,10 +592,14 @@ def test_compiled_trees_keep_their_rooted_order():
         graphs.append(seifert_to_plumbing(*instantiate_case(case))[0])
     for g in graphs:
         # compiling, solving and measuring a builder's tree reads only its
-        # rooted arrays: the adjacency map is never built
+        # rooted arrays: neither field nor lookup map is ever built
         assert WuVector() in wu_solutions(g)
         plumbing_delta(g, WuVector())
-        assert "_adj" not in vars(g)
+        assert not _DERIVED & vars(g).keys()
+        # derived afterwards, they are the validated twin's
+        h = PlumbingGraph(g.vertices, g.edges)
+        assert (g.vertices, g.edges) == (h.vertices, h.edges)
+        assert g._weight == h._weight and g._adj == h._adj
         _assert_rooted_order(g)
         # built afterwards on demand, it lists neighbours in sorted-edge order
         expected = {v: [] for v in g.ids}
@@ -597,6 +608,35 @@ def test_compiled_trees_keep_their_rooted_order():
             expected[j].append(i)
         assert all(g.neighbors(v) == tuple(sorted(nb)) == tuple(nb)
                    for v, nb in expected.items())
+
+
+def test_builder_trees_derive_their_fields_on_demand():
+    def fresh():
+        # arm after arm, the parent-child pairs are not yet in sorted order
+        return star_graph(-2, [(3, 1), (-2,)])
+
+    g = fresh()
+    assert len(g) == 4 and not _DERIVED & vars(g).keys()
+    # the generated ==, hash and repr read the fields, so they derive them
+    twin = PlumbingGraph(g.vertices, g.edges)
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert repr(fresh()) == (
+        "PlumbingGraph(vertices=((0, -2), (1, 3), (2, 1), (3, -2)), "
+        "edges=((0, 1), (0, 3), (1, 2)))"
+    )
+    assert fresh() == twin and hash(fresh()) == hash(twin)
+    # each derived field is stored once and handed back as it is
+    g = fresh()
+    assert g.edges is g.edges and vars(g)["edges"] is g.edges
+    for name in ("vertices", "edges"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fresh(), name, ())
+    with pytest.raises(AttributeError, match="'PlumbingGraph' object has no attribute 'nope'"):
+        fresh().nope
+    # an underived tree copies and pickles as itself
+    for clone in (copy.copy(fresh()), copy.deepcopy(fresh()), pickle.loads(pickle.dumps(fresh()))):
+        assert not _DERIVED & vars(clone).keys()
+        assert clone == twin and clone._rooted == fresh()._rooted
 
 
 def test_inertia_is_computed_once_per_graph(monkeypatch):
@@ -647,25 +687,40 @@ def test_json_roundtrip():
         graph_from_json({"vertices": [{"id": 0, "weight": 2}], "edges": [], "wu": [1, 0]})
 
 
-@pytest.mark.parametrize("doc", [
-    [1, 2],
-    "graph",
-    {},
-    {"vertices": {"id": 0, "weight": 2}},
-    {"vertices": [{"id": 0}]},
-    {"vertices": [{"weight": 2}]},
-    {"vertices": [[0, 2]]},
-    {"vertices": [{"id": "0", "weight": 2}]},
-    {"vertices": [{"id": 0, "weight": 2.5}]},
-    {"vertices": [{"id": True, "weight": 2}]},
-    {"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": [[0]]},
-    {"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": [[[0], 1]]},
-    {"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": {"0": 1}},
-    {"vertices": [{"id": 0, "weight": 2}], "wu": [2]},
-    {"vertices": [{"id": 0, "weight": 2}], "wu": "0"},
+_NOT_AN_OBJECT = "graph JSON must be an object"
+_BAD_VERTICES = '"vertices" must be a list of {"id": int, "weight": int}'
+_BAD_EDGES = '"edges" must be a list of [int, int] pairs'
+_BAD_WU = '"wu" must be a list of 0/1'
+_BAD_SHAPES = [
+    ([1, 2], _NOT_AN_OBJECT),
+    ("graph", _NOT_AN_OBJECT),
+    ({}, _BAD_VERTICES),
+    ({"vertices": {"id": 0, "weight": 2}}, _BAD_VERTICES),
+    ({"vertices": [{"id": 0}]}, _BAD_VERTICES),
+    ({"vertices": [{"weight": 2}]}, _BAD_VERTICES),
+    ({"vertices": [[0, 2]]}, _BAD_VERTICES),
+    ({"vertices": [{"id": "0", "weight": 2}]}, _BAD_VERTICES),
+    ({"vertices": [{"id": 0, "weight": 2.5}]}, _BAD_VERTICES),
+    ({"vertices": [{"id": True, "weight": 2}]}, _BAD_VERTICES),
+    ({"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": [[0]]}, _BAD_EDGES),
+    ({"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": [[[0], 1]]}, _BAD_EDGES),
+    ({"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": {"0": 1}}, _BAD_EDGES),
+    ({"vertices": [{"id": 0, "weight": 2}], "wu": [2]}, _BAD_WU),
+    ({"vertices": [{"id": 0, "weight": 2}], "wu": "0"}, _BAD_WU),
+    # booleans are refused in every int slot
+    ({"vertices": [{"id": 0, "weight": False}]}, _BAD_VERTICES),
+    ({"vertices": [{"id": 0, "weight": 2}, {"id": 1, "weight": 2}], "edges": [[0, True]]}, _BAD_EDGES),
+    ({"vertices": [{"id": 0, "weight": 2}], "wu": [True]}, _BAD_WU),
+]
+
+
+# the ids a parametrization over the documents alone gives them
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(doc, message, id=doc if isinstance(doc, str) else f"doc{k}")
+    for k, (doc, message) in enumerate(_BAD_SHAPES)
 ])
-def test_graph_from_json_rejects_bad_shapes(doc):
-    with pytest.raises(ValueError):
+def test_graph_from_json_rejects_bad_shapes(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         graph_from_json(doc)
 
 

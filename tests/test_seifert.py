@@ -19,6 +19,7 @@ from spindefect.seifert import (
     _arrangement,
     _euler_numerator,
     _engine_value,
+    _platonic,
     delta_engine,
     euler_number,
     parse_seifert,
@@ -84,6 +85,21 @@ def test_euler_numerator_matches_the_fraction_sum(pairs):
         assert len(pairs) == 3 and e != 0  # a non-spherical triple
     else:
         assert euler_number(s) == e != 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(seifert_data())
+@example(SeifertData([(2, 1), (2, 1), (7, 1)]))
+@example(SeifertData([(1, 1), (2, 1), (3, 1)]))  # an a = 1 fiber: not three singular
+def test_spherical_shape_is_recorded_once(s):
+    mults = sorted(a for a, _ in s)
+    expected = len(mults) == 3 and mults[0] >= 2 and _platonic(mults)
+    assert s.is_spherical_candidate() is expected
+    # the recorded shape stays out of ==, hash and repr
+    twin = SeifertData(s.pairs)
+    object.__setattr__(twin, "_spherical", not expected)
+    assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
+    assert repr(s) == f"SeifertData(pairs={s.pairs!r})"
 
 
 def test_spin_structure_counts():
