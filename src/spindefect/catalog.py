@@ -37,7 +37,6 @@ from .seifert import (
     LensSpace,
     SeifertData,
     SpinAssignment,
-    _euler_numerator,
     delta_engine,
     reverse_orientation,
     spin_conditions_hold,
@@ -163,12 +162,21 @@ _CONST_ROWS = [
 _FAMILY_OF_A3 = {3: FAMILY_T, 4: FAMILY_O, 5: FAMILY_I}
 _A3_OF_FAMILY = {family: a3 for a3, family in _FAMILY_OF_A3.items()}
 
+# Two indexes of _CONST_ROWS, built once here and in table order: the rows
+# of each (family, t), which the classifier tries in turn, and the one row
+# of each (label, eps), which a case id names.
+_ROWS_OF_FAMILY_T: dict[tuple[str, int], list[_ConstRow]] = {}
+for _row in _CONST_ROWS:
+    _ROWS_OF_FAMILY_T.setdefault((_row.family, _row.t), []).append(_row)
+del _row
+_ROW_OF_LABEL = {(row.label, row.eps): row for row in _CONST_ROWS}
+
 
 def _const_row(label: str, eps: int | None) -> _ConstRow:
-    for row in _CONST_ROWS:
-        if row.label == label and row.eps == eps:
-            return row
-    if any(row.label == label for row in _CONST_ROWS):
+    row = _ROW_OF_LABEL.get((label, eps))
+    if row is not None:
+        return row
+    if any(known == label for known, _ in _ROW_OF_LABEL):
         raise ValueError(f"row ({label}) needs eps=+1 or -1")
     raise UnrecognizedForm(f"unknown catalog row ({label})")
 
@@ -228,22 +236,24 @@ def classify(s: SeifertData, c: SpinAssignment) -> DeltaCaseId:
     Raises UnrecognizedForm when the multiplicities are not spherical and
     NoSpinForm when the labels violate the spin constraints.
     """
-    if len(s) != 3 or not s.is_spherical_candidate():
+    pairs = getattr(s, "pairs", s)  # a LensSpace has none: len() raises TypeError
+    if len(pairs) != 3 or not s.is_spherical_candidate():
         raise UnrecognizedForm(
             f"{s.pairs} is not a three-fiber spherical form; cannot classify"
         )
     if not spin_conditions_hold(s, c):
         raise NoSpinForm(f"labels {c.cg};{c.ch} are not a spin structure on {s.pairs}")
-    reversed_flag = _euler_numerator(s.pairs) < 0  # e > 0
+    reversed_flag = s._euler < 0  # e > 0
     sign = -1 if reversed_flag else 1
     # c(h) = 0 on every spherical form (each has a 2-fiber), so a shift by
     # k_i moves the label c(g_i) by k_i mod 2
-    fibers = [(a, sign * b, cg) for (a, b), cg in zip(s.pairs, c.cg)]
-    mults = sorted(a for a, _ in s.pairs)
-    if mults[1] == 2:
+    fibers = [(a, sign * b, cg) for (a, b), cg in zip(pairs, c.cg)]
+    (a1, _), (a2, _), (a3, _) = pairs
+    _, middle, largest = sorted((a1, a2, a3))
+    if middle == 2:
         case = _classify_dihedral(fibers, reversed_flag)
     else:
-        case = _classify_polyhedral(fibers, mults[2], reversed_flag)
+        case = _classify_polyhedral(fibers, largest, reversed_flag)
     if case is None:
         # the rows cover every negative-Euler-number spherical form, so a
         # fall-through means the tables or the normalizer are broken
@@ -287,8 +297,8 @@ def _classify_polyhedral(fibers, a3: int, reversed_flag: bool) -> DeltaCaseId | 
         t, b3, c3 = _polyhedral_form(first, second, third)
     family = _FAMILY_OF_A3[a3]
     slope = 2 * t * a3
-    for row in _CONST_ROWS:
-        if row.family != family or row.t != t or row.c3 not in (None, c3):
+    for row in _ROWS_OF_FAMILY_T[family, t]:
+        if row.c3 not in (None, c3):
             continue
         k, rem = divmod(b3 - row.offset, slope)
         if rem == 0 and row.k_in_range(k):

@@ -65,7 +65,11 @@ def _fmt_spin(c: SpinAssignment) -> str:
 
 
 def _emit(args, lines, payload) -> None:
+    """Print the text lines, or under --json the payload: a dict, or a
+    callable that builds it, for payloads that text mode should not pay for."""
     if args.json:
+        if callable(payload):
+            payload = payload()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
@@ -234,15 +238,15 @@ def cmd_plumbing(args) -> int:
         f"vertices: {len(g)}, edges: {len(g.edges)}",
         f"signature: (b+ = {plus}, b- = {minus}, b0 = {zero}), sign = {plus - minus}",
     ]
-    entries = []
+    deltas = []
     for w in vectors:
         d = plumbing_delta(g, w)
         lines.append(f"wu support {sorted(w.support)} -> delta = {d}")
-        entries.append({"wu": list(w.as_bits(g)), "delta": d})
-    _emit(args, lines, {
+        deltas.append(d)
+    _emit(args, lines, lambda: {
         "input": {"graph": graph_to_json(g)},
         "signature": {"b_plus": plus, "b_minus": minus, "b_zero": zero},
-        "wu": entries,
+        "wu": [{"wu": list(w.as_bits(g)), "delta": d} for w, d in zip(vectors, deltas)],
     })
     return EXIT_OK
 
@@ -261,7 +265,7 @@ def cmd_seifert_to_plumbing(args) -> int:
         f"weights: {', '.join(str(wt) for _, wt in g.vertices)}",
         f"signature: (b+ = {plus}, b- = {minus}, b0 = {zero}); delta = {d}",
     ]
-    _emit(args, lines, {
+    _emit(args, lines, lambda: {
         "input": source,
         "graph": graph_to_json(g, w),
         "signature": {"b_plus": plus, "b_minus": minus, "b_zero": zero},

@@ -48,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,7 +196,8 @@ class PlumbingGraph:
         beyond the support; read off the rooted arrays once per graph,
         outside ==."""
         order, weights, _ = self._rooted
-        return frozenset(v for v, w in zip(order, weights) if w & 1)
+        low_bits = map(operator.and_, weights, itertools.repeat(1))
+        return frozenset(itertools.compress(order, low_bits))
 
     @functools.cached_property
     def _inertia(self) -> tuple[int, int, int]:
@@ -552,7 +554,7 @@ def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
     """
     if isinstance(s, LensSpace):
         return _lens_to_plumbing(s)
-    if not isinstance(s, SeifertData) or len(s) != 3 or not s.is_spherical_candidate():
+    if not isinstance(s, SeifertData) or len(s.pairs) != 3 or not s.is_spherical_candidate():
         raise ValueError("need a LensSpace or three-fiber spherical SeifertData")
     if not isinstance(c, SpinAssignment) or not spin_conditions_hold(s, c):
         raise NoSpinForm(f"labels are not a spin structure on {s.pairs}")
@@ -561,7 +563,7 @@ def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
     # exactly one has the right parity
     shifts = []
     arms = []
-    for (a, b), cg in zip(s, c.cg):
+    for (a, b), cg in zip(s.pairs, c.cg):
         k = b // a  # floor; candidates are k and k+1
         if k % 2 != cg:
             k += 1

@@ -53,7 +53,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Unnormalized Seifert invariants {(a_i, b_i)} of a fibration over S^2."""
+    """Unnormalized Seifert invariants {(a_i, b_i)} of a fibration over S^2.
+
+    The constructor checks the pairs and records two facts it derives on
+    the way, outside ==, hash and repr: ``_euler``, the integer Euler
+    numerator N = sum(b_i A / a_i) with e = -N / A (A = prod(a_i)), and
+    ``_spherical``, read by ``is_spherical_candidate``.
+    """
 
     pairs: tuple[tuple[int, int], ...]
 
@@ -66,7 +72,8 @@ class SeifertData:
                 raise ValueError(f"fiber multiplicity must be >= 1, got a = {a}")
             if math.gcd(a, b) != 1:
                 raise ValueError(f"(a, b) = ({a}, {b}) is not coprime")
-        if _euler_numerator(pairs) == 0:
+        euler = _euler_numerator(pairs)
+        if euler == 0:
             raise DegenerateEuler(f"Euler number of {pairs} vanishes")
         mults = sorted(a for a, _ in pairs)
         three_singular = len(pairs) == 3 and mults[0] >= 2
@@ -78,8 +85,8 @@ class SeifertData:
                 "only (2,2,n), (2,3,3), (2,3,4), (2,3,5) are supported"
             )
         object.__setattr__(self, "pairs", pairs)
-        # the shape, read by is_spherical_candidate; not a dataclass field,
-        # so it stays out of ==, hash and repr
+        # not dataclass fields, so they stay out of ==, hash and repr
+        object.__setattr__(self, "_euler", euler)
         object.__setattr__(self, "_spherical", spherical)
 
     def __iter__(self):
@@ -131,12 +138,16 @@ class SpinAssignment:
 
 
 def spin_conditions_hold(s: SeifertData, c: SpinAssignment) -> bool:
-    if len(c.cg) != len(s):
+    # the checks read the pairs; an argument without them (a LensSpace) is
+    # taken as it is, so len() and iteration still raise TypeError on it
+    pairs = getattr(s, "pairs", s)
+    cg, ch = c.cg, c.ch
+    if len(cg) != len(pairs):
         raise ValueError("label count does not match fiber count")
-    for (a, b), cg in zip(s, c.cg):
-        if (a * cg + b * c.ch - a * b) % 2 != 0:
+    for (a, b), g in zip(pairs, cg):
+        if (a * g + b * ch - a * b) % 2 != 0:
             return False
-    return sum(c.cg) % 2 == 0
+    return sum(cg) % 2 == 0
 
 
 def spin_enumerate(s: SeifertData) -> list[SpinAssignment]:
@@ -148,12 +159,15 @@ def spin_enumerate(s: SeifertData) -> list[SpinAssignment]:
     ``itertools.product`` order, the ones with an even label sum are kept.
     A space with some even multiplicity pins c(h) = 0; an all-odd space can
     admit c(h) = 1 labellings too.  Spherical spaces always have a 2-fiber,
-    so there the list never contains ch = 1.
+    so there the list never contains ch = 1.  The bits and c(h) are already
+    0/1 ints, so each labelling is made directly, without the constructor's
+    normalization.
     """
+    pairs = getattr(s, "pairs", s)  # see spin_conditions_hold
     out = []
     for ch in (0, 1):
         choices = []
-        for a, b in s:
+        for a, b in pairs:
             if a % 2:
                 choices.append((b * (a - ch) % 2,))
             elif ch:
@@ -161,11 +175,12 @@ def spin_enumerate(s: SeifertData) -> list[SpinAssignment]:
             else:
                 choices.append((0, 1))
         else:
-            out.extend(
-                SpinAssignment(bits, ch)
-                for bits in itertools.product(*choices)
-                if sum(bits) % 2 == 0
-            )
+            for bits in itertools.product(*choices):
+                if sum(bits) % 2 == 0:
+                    c = object.__new__(SpinAssignment)
+                    object.__setattr__(c, "cg", bits)
+                    object.__setattr__(c, "ch", ch)
+                    out.append(c)
     if not out:
         raise NoSpinForm(f"{s.pairs} admits no spin labelling")
     return out
@@ -254,6 +269,9 @@ def _engine_value(pairs, cg, ch, u1, v1) -> int:
     return sgn(num) * sgn(q_split * b3) + sigma(p_split, q_split, eps) + sigma(a3, b3, -1)
 
 
+_OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))  # the other two fibers, in order
+
+
 def _arrangement(s: SeifertData, c: SpinAssignment) -> tuple[tuple, tuple[int, ...]]:
     """(pairs, cg) of a presentation the splitting engine can use.
 
@@ -265,10 +283,11 @@ def _arrangement(s: SeifertData, c: SpinAssignment) -> tuple[tuple, tuple[int, .
     e = -b_3/a_3 = 0.  Both moves are applied to the tuples: they keep each
     gcd, the Euler number and the base, so there is nothing to re-check.
     """
-    third = c.cg.index(0)
-    order = [i for i in range(3) if i != third] + [third]
-    (a1, b1), (a2, b2), (a3, b3) = (s.pairs[i] for i in order)
-    cg = tuple(c.cg[i] for i in order)
+    pairs, cg = s.pairs, c.cg
+    third = cg.index(0)
+    i, j = _OTHER_SLOTS[third]
+    (a1, b1), (a2, b2), (a3, b3) = pairs[i], pairs[j], pairs[third]
+    cg = (cg[i], cg[j], cg[third])
     if b3 == 0:
         # (0, k, -k) moves a1 b2 + a2 b1 by -k a1 a2; pick the k that keeps it nonzero
         k = 2 if a1 * b2 + a2 * b1 != 2 * a1 * a2 else -2
@@ -294,11 +313,13 @@ def delta_engine(s: SeifertData, c: SpinAssignment) -> int:
     NoAdmissibleRearrangement when every multiplicity is odd and
     NoSpinForm when the labels are not a spin structure.
     """
-    if len(s) != 3:
+    pairs = getattr(s, "pairs", s)  # see spin_conditions_hold
+    if len(pairs) != 3:
         raise ValueError("the splitting engine needs exactly three fiber pairs")
     if len(c.cg) != 3:
         raise ValueError("label count does not match fiber count")
-    if all(a % 2 == 1 for a, _ in s.pairs):
+    (a1, _), (a2, _), (a3, _) = pairs
+    if a1 % 2 == 1 and a2 % 2 == 1 and a3 % 2 == 1:
         raise NoAdmissibleRearrangement(
             "splitting needs an even multiplicity among the a_i"
         )

@@ -5,12 +5,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spindefect.catalog import (
+    _CONST_ROWS,
+    _ROW_OF_LABEL,
+    _ROWS_OF_FAMILY_T,
     FAMILY_D,
     FAMILY_I,
     FAMILY_LENS,
     FAMILY_O,
     FAMILY_T,
     DeltaCaseId,
+    _const_row,
     classify,
     delta,
     delta_table,
@@ -29,6 +33,7 @@ from spindefect.seifert import (
     permute_fibers,
     reverse_orientation,
     shift_move,
+    spin_conditions_hold,
     spin_enumerate,
 )
 from spindefect.sigma import sigma
@@ -217,6 +222,97 @@ def test_classify_input_validation():
         classify(s, SpinAssignment((0, 0, 0)))
     with pytest.raises(UnrecognizedForm):
         classify(SeifertData([(2, 1), (3, 1)]), SpinAssignment((0, 0)))
+
+
+def test_row_indexes_partition_the_table_in_order():
+    by_family_t = [row for rows in _ROWS_OF_FAMILY_T.values() for row in rows]
+    assert sorted(map(id, by_family_t)) == sorted(map(id, _CONST_ROWS))
+    for (family, t), rows in _ROWS_OF_FAMILY_T.items():
+        assert list(rows) == [r for r in _CONST_ROWS if (r.family, r.t) == (family, t)]
+    # one row per (label, eps), in table order
+    assert list(_ROW_OF_LABEL) == [(r.label, r.eps) for r in _CONST_ROWS]
+    assert all(a is b for a, b in zip(_ROW_OF_LABEL.values(), _CONST_ROWS))
+
+
+def _const_row_by_scan(label, eps):
+    """The linear scan that the (label, eps) index replaced."""
+    for row in _CONST_ROWS:
+        if row.label == label and row.eps == eps:
+            return row
+    if any(row.label == label for row in _CONST_ROWS):
+        raise ValueError(f"row ({label}) needs eps=+1 or -1")
+    raise UnrecognizedForm(f"unknown catalog row ({label})")
+
+
+def _outcome(f, *args):
+    try:
+        return "returns", f(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_const_row_lookup_matches_the_linear_scan():
+    labels = {r.label for r in _CONST_ROWS} | {"9-9", "3-0", "4-17", "5-1", "2-1", ""}
+    for label in labels:
+        for eps in (None, 1, -1, 0, 2, True, 1.0):
+            assert _outcome(_const_row, label, eps) == _outcome(_const_row_by_scan, label, eps)
+    for row in _CONST_ROWS:
+        assert _const_row(row.label, row.eps) is row
+
+
+# each public entry on the catalog, engine and plumbing path keeps the
+# outcome it had when it walked the SeifertData itself; a LensSpace has no
+# len() and no iteration, and only seifert_to_plumbing accepts one
+_S = SeifertData([(2, 1), (3, 1), (5, -4)])
+_GUARD_INPUTS = {
+    "lens": (LensSpace(5, 2, -1), SpinAssignment((0, 1, 1))),
+    "two fibers": (SeifertData([(2, 1), (3, 1)]), SpinAssignment((1, 1))),
+    "wrong length": (_S, SpinAssignment((0, 1))),
+    "not spin": (_S, SpinAssignment((1, 1, 1))),
+}
+def _spin_enumerate_of(s, c):
+    return spin_enumerate(s)
+
+
+_NO_LEN = (TypeError, "object of type 'LensSpace' has no len()")
+_WRONG_LENGTH = (ValueError, "label count does not match fiber count")
+_NOT_SPIN = (NoSpinForm, "labels (1, 1, 1);0 are not a spin structure on "
+                         "((2, 1), (3, 1), (5, -4))")
+
+
+@pytest.mark.parametrize("f, given, expected", [
+    (classify, "lens", _NO_LEN),
+    (classify, "two fibers", (UnrecognizedForm, "((2, 1), (3, 1)) is not a "
+                              "three-fiber spherical form; cannot classify")),
+    (classify, "wrong length", _WRONG_LENGTH),
+    (classify, "not spin", _NOT_SPIN),
+    (delta_engine, "lens", _NO_LEN),
+    (delta_engine, "two fibers", (ValueError, "the splitting engine needs exactly "
+                                  "three fiber pairs")),
+    (delta_engine, "wrong length", _WRONG_LENGTH),
+    (delta_engine, "not spin", _NOT_SPIN),
+    (seifert_to_plumbing, "two fibers", (ValueError, "need a LensSpace or "
+                                         "three-fiber spherical SeifertData")),
+    (seifert_to_plumbing, "wrong length", _WRONG_LENGTH),
+    (seifert_to_plumbing, "not spin", (NoSpinForm, "labels are not a spin "
+                                       "structure on ((2, 1), (3, 1), (5, -4))")),
+    (spin_conditions_hold, "lens", _NO_LEN),
+    (spin_conditions_hold, "wrong length", _WRONG_LENGTH),
+    (_spin_enumerate_of, "lens", (TypeError, "'LensSpace' object is not iterable")),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_entry_guards_keep_their_errors(f, given, expected):
+    assert _outcome(f, *_GUARD_INPUTS[given]) == expected
+
+
+def test_entry_guards_keep_what_they_let_through():
+    lens, _ = _GUARD_INPUTS["lens"]
+    two, two_c = _GUARD_INPUTS["two fibers"]
+    assert seifert_to_plumbing(lens, None) == seifert_to_plumbing(lens)
+    assert seifert_to_plumbing(lens)[0].vertices == ((0, -2), (1, 2))
+    assert spin_conditions_hold(two, two_c) is True
+    assert spin_conditions_hold(*_GUARD_INPUTS["not spin"]) is False
+    assert spin_enumerate(two) == [SpinAssignment((1, 1))]
+    assert spin_enumerate(_S) == [SpinAssignment((1, 1, 0))]
 
 
 def test_instantiate_rejects_lens_cases():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from spindefect import cli
 from spindefect.cli import main
-from spindefect.plumbing import graph_to_json, seifert_to_plumbing
+from spindefect.plumbing import WuVector, graph_to_json, seifert_to_plumbing
 from spindefect.seifert import SeifertData, SpinAssignment, parse_seifert, spin_enumerate
 
 from conftest import PLATONIC, coprime_to, pairs_of
@@ -271,6 +272,27 @@ def test_plumbing_text_verbatim(capsys):
         "weights: -2, -2, -2, -2, -2, -2, -2, -2\n"
         "signature: (b+ = 0, b- = 8, b0 = 0); delta = -8\n"
     )
+
+
+def test_text_mode_builds_no_json_payload(capsys, monkeypatch):
+    expected = {}
+    argvs = [
+        ("seifert-to-plumbing", "--lens", "8", "3", "--eps", "-1"),
+        ("seifert-to-plumbing", "--seifert", "(2,1),(3,1),(5,-4)", "--spin", "1,1,0"),
+        ("plumbing", "--star", "(0; 0; 0; 1,2)"),
+        ("plumbing", "--star", "(0; 3)", "--wu", "1,0"),
+    ]
+    for argv in argvs:
+        expected[argv] = run(capsys, *argv)
+
+    def refuse(*args):
+        raise AssertionError("text mode built the --json payload")
+
+    monkeypatch.setattr(cli, "graph_to_json", refuse)
+    monkeypatch.setattr(WuVector, "as_bits", refuse)
+    for argv in argvs:
+        assert run(capsys, *argv) == expected[argv]
+        assert expected[argv][0] == 0
 
 
 def test_seifert_to_plumbing_matches_library(capsys):

@@ -102,6 +102,19 @@ def test_spherical_shape_is_recorded_once(s):
     assert repr(s) == f"SeifertData(pairs={s.pairs!r})"
 
 
+@settings(max_examples=300, deadline=None)
+@given(seifert_data())
+@example(SeifertData([(2, 1), (3, 1), (5, -4)]))  # |H_1| = 1
+@example(SeifertData([(2, -1), (3, -1), (5, 4)]))  # e > 0
+def test_euler_numerator_is_recorded_once(s):
+    assert s._euler == _euler_numerator(s.pairs) != 0
+    # the recorded numerator stays out of ==, hash and repr
+    twin = SeifertData(s.pairs)
+    object.__setattr__(twin, "_euler", -s._euler)
+    assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
+    assert repr(s) == f"SeifertData(pairs={s.pairs!r})"
+
+
 def test_spin_structure_counts():
     # (2,2,n): two structures for n odd, four for n even;
     # (2,3,3) and (2,3,5): one; (2,3,4): two
@@ -153,6 +166,17 @@ def test_spin_enumerate_matches_the_filtered_product(s):
             spin_enumerate(s)
     else:
         assert spin_enumerate(s) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(seifert_data())
+@example(SeifertData([(1, 1), (3, 1), (5, 2)]))  # all odd: c(h) = 1 and c(h) = 0
+def test_spin_enumerate_builds_what_the_constructor_builds(s):
+    for c in spin_enumerate(s):
+        assert c == SpinAssignment(c.cg, c.ch)
+        assert hash(c) == hash(SpinAssignment(c.cg, c.ch))
+        assert type(c.cg) is tuple and all(type(x) is int for x in c.cg)
+        assert type(c.ch) is int
 
 
 def test_shift_move_transport():
