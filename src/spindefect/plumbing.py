@@ -36,19 +36,35 @@ once per graph as three aligned lists: the vertex ids with the root first
 and every vertex after its parent, their weights, and each parent's
 position.  Every tree edge joins a vertex to its parent, so the passes
 need nothing else.  The builders make each vertex after its parent, and
-those lists are all a builder's tree stores: its ``vertices`` and
-``edges`` fields and its weight and adjacency maps are derived from them
-on first use, so a tree that is only compiled, solved and measured never
-builds any of them.  A graph from the validating constructor stores the
-fields it was given and gets the lists once, from its connectivity check.
+those lists are all a builder's tree stores, with its runs: its
+``vertices`` and ``edges`` fields and its weight and adjacency maps are
+derived from them on first use, so a tree that is only compiled, solved
+and measured never builds any of them.  A graph from the validating
+constructor stores the fields it was given and gets the lists once, from
+its connectivity check.  Every attribute a graph derives, fields, maps,
+lists, its odd vertices and its inertia, comes from one table,
+``_DERIVE``, read on first use and stored.
+
+A run is a stretch of at least three vertices of one weight w below the
+root, each but the lowest with one child, the next; the builders record
+each maximal run in an arm, and the even expansions a compiled tree is
+made of are mostly long runs of +-2.  Both passes cross a run in one
+step.  The inertia pass does when the lowest vertex's effective weight
+has w's sign and absolute value at least 1 and |w| >= 2: every vertex
+above then has w's sign, and the top's effective weight is a product of
+the run's transfer matrix, in closed form for w = +-2.  The Wu pass does
+when w is even: either every vertex above an unpinned lowest vertex with
+reduced diagonal 1 has diagonal 1, and the forms alternate f, 1 + f, or
+pinned vertices, which read 0, alternate with ones that all carry one
+form.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,6 +89,8 @@ __all__ = [
 ]
 
 _KERNEL_CAP = 12  # refuse to enumerate GF(2) kernels of dimension above this
+_MIN_RUN = 3  # a run needs an interior vertex for a pass to step over
+_TO_THE_ROOT = ((0, None),)  # a pass's one stretch on a tree without runs
 
 
 @dataclass(frozen=True)
@@ -81,13 +99,18 @@ class PlumbingGraph:
 
     The empty graph is allowed (it is the terminal state of blow-down
     sequences); any nonempty graph must be a connected tree.  A builder's
-    tree stores only its rooted arrays and derives ``vertices``, ``edges``
-    and the lookup maps on first use, storing each one once; ==, hash and
-    repr read the fields, so they see the same graph either way.
+    tree stores only its rooted arrays and its runs, and derives
+    ``vertices``, ``edges`` and the lookup maps on first use, storing each
+    one once; ==, hash and repr read the fields, so they see the same graph
+    either way.
     """
 
     vertices: tuple[tuple[int, int], ...]
     edges: tuple[tuple[int, int], ...]
+
+    # {bottom position: top position} of each run a builder found (_from_tree);
+    # a validated graph has none
+    _runs = types.MappingProxyType({})
 
     def __init__(self, vertices, edges=()):
         vertices = tuple((int(i), int(w)) for i, w in vertices)
@@ -110,7 +133,7 @@ class PlumbingGraph:
             raise ValueError("not a tree: graph is disconnected")
 
     @classmethod
-    def _from_tree(cls, weights, up, start_id: int = 0) -> PlumbingGraph:
+    def _from_tree(cls, weights, up, arms, start_id: int = 0) -> PlumbingGraph:
         """A graph from a builder that has just made a tree, not re-validated.
 
         ``weights`` and ``up`` are aligned by position: the vertex at
@@ -118,92 +141,48 @@ class PlumbingGraph:
         parent at position ``up[i]``, -1 at the root.  The builder
         guarantees what ``chain_graph`` and ``star_graph`` do: the root
         comes first and every other vertex after its parent.  So the
-        positions are a rooted order, and they are all that is stored, as
-        ``_rooted``, without a search.  The fields come from them on first
-        use (``__getattr__``); weights still go through ``int()``.  Graphs
+        positions are a rooted order, and they are stored as ``_rooted``
+        without a search.  The fields come from them on first use
+        (``__getattr__``); weights still go through ``int()``.  Graphs
         from outside come through ``__init__`` instead.
+
+        Each (first, end) pair of ``arms`` is a span of at least
+        ``_MIN_RUN`` positions below the root in which every vertex but the
+        last has one child, the next one.  Each maximal run of at least
+        ``_MIN_RUN`` equal weights in an arm is stored in ``_runs`` as
+        {bottom position: top position}, so that the passes can step over
+        its interior (``_tree_inertia``, ``_wu_forms``).
         """
         g = object.__new__(cls)
         weights = list(map(int, weights))
+        runs = {}
+        for first, end in arms:
+            top = first
+            for _, same in itertools.groupby(weights[first:end]):
+                bottom = top + len(list(same)) - 1
+                if bottom - top >= _MIN_RUN - 1:
+                    runs[bottom] = top
+                top = bottom + 1
         order = list(range(start_id, start_id + len(weights)))
         object.__setattr__(g, "_rooted", (order, weights, list(up)))
+        if runs:
+            object.__setattr__(g, "_runs", runs)
         return g
 
     def __getattr__(self, name):
-        """Derive a field a builder's tree has not stored yet, and store it.
+        """Derive an attribute the graph has not stored yet, and store it.
 
-        Reached only when ``name`` is not in the instance dict.  Each
-        (parent, child) pair of the rooted order is an edge already in
-        (min, max) form.
+        Reached only when ``name`` is not in the instance dict; ``_DERIVE``
+        says how each derived attribute is made.  None of them is a field,
+        except a builder's ``vertices`` and ``edges``, which come out as the
+        validating constructor would store them.
         """
-        if name == "vertices":
-            order, weights, _ = self._rooted
-            value = tuple(zip(order, weights))
-        elif name == "edges":
-            order, _, up = self._rooted
-            value = tuple(sorted(zip([order[p] for p in up[1:]], order[1:])))
-        else:
+        derive = _DERIVE.get(name)
+        if derive is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = derive(self)
         object.__setattr__(self, name, value)
         return value
-
-    @functools.cached_property
-    def _weight(self) -> dict[int, int]:
-        """Each vertex's weight; built from ``vertices`` on first use, outside ==."""
-        return dict(self.vertices)
-
-    @functools.cached_property
-    def _adj(self) -> dict[int, tuple[int, ...]]:
-        """Each vertex's neighbours, in ascending order because the edges
-        come sorted.  Built from ``edges`` on first use, by the connectivity
-        search, ``neighbors`` / ``degree``, a Wu check on a nonempty support
-        and ``blow_down``; outside ==."""
-        adj = {i: [] for i, _ in self.vertices}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return {i: tuple(nb) for i, nb in adj.items()}
-
-    @functools.cached_property
-    def _rooted(self) -> tuple[list[int], list[int], list[int]]:
-        """(order, weights, up): the vertex ids in breadth-first order from
-        the first vertex (every vertex after its parent, neighbours in
-        ascending order), their weights, and each one's parent as a
-        position in ``order``, -1 at the root; ([], [], []) for the empty
-        graph.  A builder's tree is given them (``_from_tree``); a validated
-        graph computes them once, by this search.  Like the lookup maps,
-        they stay outside ==.  On a graph that is not connected, ``order``
-        misses the vertices the search did not reach."""
-        if not self.vertices:
-            return [], [], []
-        adj = self._adj
-        root = self.vertices[0][0]
-        seen = {root}
-        order = [root]
-        up = [-1]
-        for i, v in enumerate(order):
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    order.append(u)
-                    up.append(i)
-        weight = self._weight
-        return order, [weight[v] for v in order], up
-
-    @functools.cached_property
-    def _odd(self) -> frozenset[int]:
-        """The vertices of odd weight, the only ones a Wu check must reach
-        beyond the support; read off the rooted arrays once per graph,
-        outside ==."""
-        order, weights, _ = self._rooted
-        low_bits = map(operator.and_, weights, itertools.repeat(1))
-        return frozenset(itertools.compress(order, low_bits))
-
-    @functools.cached_property
-    def _inertia(self) -> tuple[int, int, int]:
-        """(n_plus, n_minus, n_zero) of the intersection form, computed once
-        per graph (``_tree_inertia``) and, like the lookup maps, outside ==."""
-        return _tree_inertia(self)
 
     def __len__(self):
         return len(self._rooted[0])
@@ -220,6 +199,72 @@ class PlumbingGraph:
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
+
+
+def _derive_edges(g: PlumbingGraph) -> tuple[tuple[int, int], ...]:
+    """A builder's edges: each (parent, child) pair of its rooted order is an
+    edge already in (min, max) form."""
+    order, _, up = g._rooted
+    return tuple(sorted(zip([order[p] for p in up[1:]], order[1:])))
+
+
+def _derive_adj(g: PlumbingGraph) -> dict[int, tuple[int, ...]]:
+    """Each vertex's neighbours, in ascending order because the edges come
+    sorted; read by the connectivity search, ``neighbors`` / ``degree``, a
+    Wu check on a nonempty support and ``blow_down``."""
+    adj = {i: [] for i, _ in g.vertices}
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return {i: tuple(nb) for i, nb in adj.items()}
+
+
+def _derive_rooted(g: PlumbingGraph) -> tuple[list[int], list[int], list[int]]:
+    """(order, weights, up) of a validated graph: the vertex ids in
+    breadth-first order from the first vertex (every vertex after its
+    parent, neighbours in ascending order), their weights, and each one's
+    parent as a position in ``order``, -1 at the root; ([], [], []) for the
+    empty graph.  Found once, by this search, which doubles as the
+    connectivity check: on a disconnected graph ``order`` misses the
+    vertices the search did not reach."""
+    if not g.vertices:
+        return [], [], []
+    adj = g._adj
+    root = g.vertices[0][0]
+    seen = {root}
+    order = [root]
+    up = [-1]
+    for i, v in enumerate(order):
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+                up.append(i)
+    weight = g._weight
+    return order, [weight[v] for v in order], up
+
+
+def _derive_odd(g: PlumbingGraph) -> frozenset[int]:
+    """The vertices of odd weight, the only ones a Wu check must reach
+    beyond the support."""
+    order, weights, _ = g._rooted
+    low_bits = map(operator.and_, weights, itertools.repeat(1))
+    return frozenset(itertools.compress(order, low_bits))
+
+
+# How ``PlumbingGraph.__getattr__`` derives each attribute a graph has not
+# stored, on first use; all but a builder's ``vertices`` and ``edges`` stay
+# outside ==, hash and repr.  A builder stores ``_rooted``, so only a
+# validated graph derives it.
+_DERIVE = {
+    "vertices": lambda g: tuple(zip(*g._rooted[:2])),
+    "edges": _derive_edges,
+    "_weight": lambda g: dict(g.vertices),
+    "_adj": _derive_adj,
+    "_rooted": _derive_rooted,
+    "_odd": _derive_odd,
+    "_inertia": lambda g: _tree_inertia(g),  # the pass is defined below
+}
 
 
 @dataclass(frozen=True)
@@ -240,6 +285,17 @@ class WuVector:
         unknown = self.support and self.support.difference(g._weight)
         if unknown:
             raise ValueError(f"Wu support {sorted(unknown)} not in the graph")
+
+
+def _wu_vector(support: frozenset[int]) -> WuVector:
+    """The WuVector of a frozenset of int ids, kept as it is, without the copy
+    through ``int()`` that ``WuVector()`` makes of outside input."""
+    w = object.__new__(WuVector)
+    object.__setattr__(w, "support", support)
+    return w
+
+
+_NO_WU = WuVector()  # the zero vector, shared: a WuVector is immutable
 
 
 def intersection_matrix(g: PlumbingGraph) -> list[list[int]]:
@@ -334,26 +390,51 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[int], int]:
     Every equation is used or reads 0 = 0, so the system is always solvable,
     as it is for any symmetric form.  Raises NoSolution past the enumeration
     cap, before any form is built.
+
+    A run of even weight (``g._runs``) is crossed in one step, because each
+    of its vertices has one child and its state follows from that child's.
+    Above an unpinned eff-1 bottom every vertex has eff 1, and back-
+    substitution alternates f, 1 + f down the run.  Otherwise pinned and
+    eff-0 vertices alternate up the run: the pinned ones read 0 and the
+    others all carry one form.  Either way only the top's state is needed,
+    and the forms below it are filled in by slices.  Odd-weight runs are
+    taken one vertex at a time.
     """
     _, weights, up = g._rooted
     n = len(weights)
     eff = [w & 1 for w in weights]
-    pinned = [None] * n  # a pinned vertex's eff-0 children, the first one defined
+    pin = [-1] * n  # a pinned vertex's first eff-0 child, the one its equation defines
+    later = {}  # a pinned vertex's later eff-0 children, each a free variable
     free = []
-    for i in range(n - 1, -1, -1):
-        if pinned[i] is not None:
-            continue  # x_v = 0: nothing to fold into the parent
-        p = up[i]
-        if eff[i]:
-            if p >= 0:
-                eff[p] ^= 1
-        elif p < 0:
-            free.append(i)
-        elif pinned[p] is not None:
-            free.append(i)
-            pinned[p].append(i)
+    even_runs = [(bottom, top) for bottom, top in g._runs.items() if not weights[bottom] & 1]
+    stop = n
+    # leaves first, run by run; the last stretch, (0, None), ends at the root
+    for bottom, top in [*reversed(even_runs), (0, None)] if even_runs else _TO_THE_ROOT:
+        for i in range(stop - 1, bottom - 1, -1):
+            if pin[i] >= 0:
+                continue  # x_v = 0: nothing to fold into the parent
+            p = up[i]
+            if eff[i]:
+                if p >= 0:
+                    eff[p] ^= 1
+            elif p < 0:
+                free.append(i)
+            elif pin[p] >= 0:
+                free.append(i)
+                later.setdefault(p, []).append(i)
+            else:
+                pin[p] = i
+        if top is None:
+            break
+        # only the top's state is read again: back-substitution fills in the
+        # forms below it
+        stop = top + 1
+        if eff[bottom] and pin[bottom] < 0:
+            eff[top] = 1
         else:
-            pinned[p] = [i]
+            first_pinned = bottom if pin[bottom] >= 0 else bottom - 1
+            if (first_pinned - top) % 2 == 0:
+                pin[top] = top + 1
     if len(free) > _KERNEL_CAP:
         raise NoSolution(
             f"GF(2) kernel dimension {len(free)} exceeds the enumeration cap"
@@ -361,18 +442,34 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[int], int]:
     x = [-1] * n  # -1: not yet set
     for j, i in enumerate(free):
         x[i] = 2 << j
-    for i in range(n):  # root first: x_parent is known before x_v
-        p = up[i]
-        above = 0 if p < 0 else x[p]
-        children = pinned[i]
-        if children is not None:
-            x[i] = 0
-            f = eff[i] ^ above
-            for c in children[1:]:
-                f ^= x[c]
-            x[children[0]] = f
-        elif x[i] < 0:  # free variables and defined children are set
-            x[i] = 1 ^ above
+    first = 0
+    # root first, so that x_parent is known before x_v, jumping each run's interior
+    for top, bottom in [*((top, bottom) for bottom, top in even_runs), (n - 1, None)]:
+        for i in range(first, top + 1):
+            p = up[i]
+            above = 0 if p < 0 else x[p]
+            c = pin[i]
+            if c >= 0:
+                x[i] = 0
+                f = eff[i] ^ above
+                for extra in later.get(i, ()):
+                    f ^= x[extra]
+                x[c] = f
+            elif x[i] < 0:  # free variables and defined children are set
+                x[i] = 1 ^ above
+        if bottom is None:
+            break
+        # the forms repeat with period 2 below the top
+        even = x[top]
+        if pin[top] >= 0:
+            odd = x[top + 1]
+        elif eff[top]:
+            odd = even ^ 1
+        else:
+            odd = 0
+        x[top + 1:bottom + 1:2] = [odd] * ((bottom - top + 1) // 2)
+        x[top + 2:bottom + 1:2] = [even] * ((bottom - top) // 2)
+        first = bottom
     return x, len(free)
 
 
@@ -383,31 +480,28 @@ def wu_solutions(g: PlumbingGraph) -> list[WuVector]:
     functional vanishes on the kernel of a symmetric form); it is solved in
     one pass from the leaves to the root, O(n) up to the 2^k solutions of a
     kernel of dimension k.  NoSolution is raised when k exceeds the
-    enumeration cap.  The vertices are grouped by their nonzero affine form
-    once, so a solution's support is the union of the groups whose form is
-    odd there.  Solutions are checked against the fact that no two adjacent
-    vertices can both carry eps = 1; every tree edge joins a vertex to its
-    parent, so the check reads each support vertex's parent.
+    enumeration cap.  The positions are grouped by their nonzero affine
+    form once, by a sort, so a solution's support is the union of the
+    groups whose form is odd there.  Solutions are checked against the fact
+    that no two adjacent vertices can both carry eps = 1; every tree edge
+    joins a vertex to its parent, so the check reads each support vertex's
+    parent.
     """
     if len(g) == 0:
-        return [WuVector()]
+        return [_NO_WU]
     order, _, up = g._rooted
     x, k = _wu_forms(g)
-    groups = {}  # nonzero form -> positions carrying it
-    for i, f in enumerate(x):
-        if f:
-            groups.setdefault(f, []).append(i)
+    by_form = sorted(itertools.compress(range(len(x)), x), key=x.__getitem__)
+    groups = [(f, list(at_f)) for f, at_f in itertools.groupby(by_form, x.__getitem__)]
     sols = []
     for free in range(1 << k):
         at = free << 1 | 1  # the constant bit, then the free variables' values
-        support = {i for f, at_f in groups.items() if (f & at).bit_count() & 1 for i in at_f}
-        for i in support:
-            p = up[i]
-            assert p not in support, (
-                f"adjacent Wu pair {min(order[i], order[p])},{max(order[i], order[p])}: "
-                "not a plumbing tree?"
-            )
-        sols.append(WuVector(order[i] for i in support))
+        support = set().union(*[at_f for f, at_f in groups if (f & at).bit_count() & 1])
+        if not support.isdisjoint(map(up.__getitem__, support)):
+            i = next(i for i in support if up[i] in support)
+            u, v = sorted((order[i], order[up[i]]))
+            raise AssertionError(f"adjacent Wu pair {u},{v}: not a plumbing tree?")
+        sols.append(_wu_vector(frozenset(map(order.__getitem__, support))))
     sols.sort(key=lambda w: sorted(w.support))
     return sols
 
@@ -419,10 +513,13 @@ def _is_wu(g: PlumbingGraph, w: WuVector) -> bool:
     condition is that this count has the parity of M_vv when v is outside
     the support, and is even when v is in it: the vertices with an odd
     count must be exactly the odd-weight vertices outside the support.
-    Only the support's neighbour lists are read.
+    Only the support's neighbour lists are read, and none for the zero
+    vector, which is a Wu vector exactly when every weight is even.
     """
     w._check_in(g)
     support = w.support
+    if not support:
+        return not g._odd
     odd_count = set()
     for v in support:
         odd_count.symmetric_difference_update(g._adj[v])
@@ -446,6 +543,18 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
     nothing else, so the parent is removed and contributes nothing to its
     own parent.  Any further zero child of that parent is then isolated and
     adds one to n_zero.
+
+    A run of weight w (``g._runs``), whose vertices each have one child, is
+    crossed in one step when its bottom's effective weight a/b has the sign
+    of w, with |a| >= |b| and |w| >= 2.  Then each vertex above has
+    |w - 1/x| >= |w| - 1 >= 1 and w's sign, so the m - 1 vertices strictly
+    between bottom and top (m = bottom - top) all count with w's sign, and
+    the top's (num, den) is (U_m a - U_{m-1} b, U_{m-1} a - U_{m-2} b),
+    exactly what the step (num, den) -> (w num - den, num) reaches in m
+    steps (``_run_continuants``).  A bottom that fails the test is followed
+    one vertex at a time.  Every run of a compiled arm passes it: each tail
+    of an even expansion exceeds 1 in absolute value and has the sign of
+    its first entry.
     """
     _, weights, up = g._rooted
     n = len(weights)
@@ -453,28 +562,63 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
     den = [1] * n
     zero_children = [0] * n
     plus = minus = zero = 0
-    for i in range(n - 1, -1, -1):
-        if zero_children[i]:
-            plus += 1
-            minus += 1
-            zero += zero_children[i] - 1
-            continue
-        a, b, p = num[i], den[i], up[i]
-        if a == 0:
-            if p < 0:
-                zero += 1
+    runs = g._runs
+    stop = n
+    # leaves first, run by run; the last stretch, (0, None), ends at the root
+    for bottom, top in [*reversed(runs.items()), (0, None)] if runs else _TO_THE_ROOT:
+        for i in range(stop - 1, bottom - 1, -1):
+            if zero_children[i]:
+                plus += 1
+                minus += 1
+                zero += zero_children[i] - 1
+                continue
+            a, b, p = num[i], den[i], up[i]
+            if a == 0:
+                if p < 0:
+                    zero += 1
+                else:
+                    zero_children[p] += 1
+                continue
+            if (a > 0) == (b > 0):
+                plus += 1
             else:
-                zero_children[p] += 1
+                minus += 1
+            if p >= 0:
+                # eff(p) -= 1 / (a / b)
+                num[p] = num[p] * a - den[p] * b
+                den[p] *= a
+        if top is None:
+            break
+        stop = bottom
+        a, b, w = num[bottom], den[bottom], weights[bottom]
+        if -2 < w < 2 or zero_children[bottom] or not a:
             continue
-        if (a > 0) == (b > 0):
-            plus += 1
+        if ((a > 0) == (b > 0)) != (w > 0) or abs(a) < abs(b):
+            continue
+        m = bottom - top
+        u0, u1, u2 = _run_continuants(w, m)
+        num[top] = u2 * a - u1 * b
+        den[top] = u1 * a - u0 * b
+        if w > 0:
+            plus += m - 1
         else:
-            minus += 1
-        if p >= 0:
-            # eff(p) -= 1 / (a / b)
-            num[p] = num[p] * a - den[p] * b
-            den[p] *= a
+            minus += m - 1
+        stop = top + 1
     return plus, minus, zero
+
+
+def _run_continuants(w: int, m: int) -> tuple[int, int, int]:
+    """(U_{m-2}, U_{m-1}, U_m) for m >= 1, where U_{-1} = 0, U_0 = 1 and
+    U_k = w U_{k-1} - U_{k-2}; U_k = (k + 1) (w/2)^k when w = +-2."""
+    if w == 2:
+        return m - 1, m, m + 1
+    if w == -2:
+        s = -1 if m & 1 else 1
+        return s * (m - 1), -s * m, s * (m + 1)
+    u0, u1 = 0, 1
+    for _ in range(m - 1):
+        u0, u1 = u1, w * u1 - u0
+    return u0, u1, w * u1 - u0
 
 
 def plumbing_delta(g: PlumbingGraph, w: WuVector) -> int:
@@ -519,9 +663,12 @@ def blow_down(g: PlumbingGraph, w: WuVector, v: int) -> tuple[PlumbingGraph, lis
 
 
 def chain_graph(weights, start_id: int = 0) -> PlumbingGraph:
-    """Linear chain with consecutive ids from ``start_id``, in weight order."""
+    """Linear chain with consecutive ids from ``start_id``, in weight order;
+    its vertices below the root are one arm."""
     weights = list(weights)
-    return PlumbingGraph._from_tree(weights, range(-1, len(weights) - 1), start_id)
+    n = len(weights)
+    arms = [(1, n)] if n > _MIN_RUN else []
+    return PlumbingGraph._from_tree(weights, range(-1, n - 1), arms, start_id)
 
 
 def star_graph(center_weight: int, arms) -> PlumbingGraph:
@@ -533,13 +680,17 @@ def star_graph(center_weight: int, arms) -> PlumbingGraph:
     """
     weights = [center_weight]
     up = [-1]
+    long_arms = []
     for arm in arms:
         start = len(weights)
         weights.extend(arm)
-        if len(weights) > start:
+        end = len(weights)
+        if end > start:
             up.append(0)
-            up.extend(range(start, len(weights) - 1))
-    return PlumbingGraph._from_tree(weights, up)
+            up.extend(range(start, end - 1))
+            if end - start >= _MIN_RUN:
+                long_arms.append((start, end))
+    return PlumbingGraph._from_tree(weights, up, long_arms)
 
 
 def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
@@ -574,15 +725,14 @@ def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
     total = sum(shifts)
     assert total % 2 == 0, "meridian shifts should sum to an even framing"
     g = star_graph(-total, arms)
-    w = WuVector()
-    assert _is_wu(g, w)
-    return g, w
+    assert _is_wu(g, _NO_WU)
+    return g, _NO_WU
 
 
 def _lens_to_plumbing(lens: LensSpace) -> tuple[PlumbingGraph, WuVector]:
     p, q, eps = lens.p, lens.q, lens.eps
     if p == 1:
-        return chain_graph([]), WuVector()
+        return chain_graph([]), _NO_WU
     # the eps = -1 chain expands q' = q, the eps = +1 chain q' = q + p, with
     # q' reduced mod 2p into (-p, p); for p odd the admissible eps makes q'
     # even, which is the spin chain
@@ -590,9 +740,8 @@ def _lens_to_plumbing(lens: LensSpace) -> tuple[PlumbingGraph, WuVector]:
     if qp >= p:
         qp -= 2 * p
     g = chain_graph(even_cf_expand(-p, qp))
-    w = WuVector()
-    assert _is_wu(g, w)
-    return g, w
+    assert _is_wu(g, _NO_WU)
+    return g, _NO_WU
 
 
 # ---------------------------------------------------------------------------

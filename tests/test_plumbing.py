@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -24,7 +25,9 @@ from spindefect.plumbing import (
     PlumbingGraph,
     WuVector,
     _is_wu,
+    _run_continuants,
     _tree_inertia,
+    _wu_forms,
     blow_down,
     chain_graph,
     graph_from_json,
@@ -390,6 +393,229 @@ def test_blow_down_validation():
         blow_down(g, WuVector([1]), 1)  # not a Wu vector
 
 
+# --- runs of equal weights -------------------------------------------------------
+
+
+def _tree_inertia_by_vertex(g: PlumbingGraph) -> tuple[int, int, int]:
+    """``_tree_inertia`` one vertex at a time, with no run stepped over: the
+    reference for the run steps."""
+    _, weights, up = g._rooted
+    n = len(weights)
+    num = list(weights)
+    den = [1] * n
+    zero_children = [0] * n
+    plus = minus = zero = 0
+    for i in range(n - 1, -1, -1):
+        if zero_children[i]:
+            plus += 1
+            minus += 1
+            zero += zero_children[i] - 1
+            continue
+        a, b, p = num[i], den[i], up[i]
+        if a == 0:
+            if p < 0:
+                zero += 1
+            else:
+                zero_children[p] += 1
+            continue
+        if (a > 0) == (b > 0):
+            plus += 1
+        else:
+            minus += 1
+        if p >= 0:
+            num[p] = num[p] * a - den[p] * b
+            den[p] *= a
+    return plus, minus, zero
+
+
+def _wu_forms_by_vertex(g: PlumbingGraph) -> tuple[list[int], int]:
+    """``_wu_forms`` one vertex at a time, with no run stepped over: the
+    reference for the run steps."""
+    _, weights, up = g._rooted
+    n = len(weights)
+    eff = [w & 1 for w in weights]
+    pinned = [None] * n  # a pinned vertex's eff-0 children, the first one defined
+    free = []
+    for i in range(n - 1, -1, -1):
+        if pinned[i] is not None:
+            continue
+        p = up[i]
+        if eff[i]:
+            if p >= 0:
+                eff[p] ^= 1
+        elif p < 0:
+            free.append(i)
+        elif pinned[p] is not None:
+            free.append(i)
+            pinned[p].append(i)
+        else:
+            pinned[p] = [i]
+    if len(free) > _KERNEL_CAP:
+        raise NoSolution(
+            f"GF(2) kernel dimension {len(free)} exceeds the enumeration cap"
+        )
+    x = [-1] * n
+    for j, i in enumerate(free):
+        x[i] = 2 << j
+    for i in range(n):
+        p = up[i]
+        above = 0 if p < 0 else x[p]
+        children = pinned[i]
+        if children is not None:
+            x[i] = 0
+            f = eff[i] ^ above
+            for c in children[1:]:
+                f ^= x[c]
+            x[children[0]] = f
+        elif x[i] < 0:
+            x[i] = 1 ^ above
+    return x, len(free)
+
+
+def _assert_run_steps_match(g):
+    assert _tree_inertia(g) == _tree_inertia_by_vertex(g)
+    assert _wu_outcome(_wu_forms, g) == _wu_outcome(_wu_forms_by_vertex, g)
+
+
+# even weights of both signs, which runs jump, among odd, zero and |w| < 2
+# ones, below which a run's bottom can fail the inertia step's test
+_RUN_WEIGHTS = st.sampled_from((-4, -2, -2, 2, 2, 4, -3, -1, 0, 0, 1, 3))
+
+
+@st.composite
+def run_arms(draw, max_blocks=5):
+    """An arm of blocks of equal weights, long ones common."""
+    blocks = draw(st.lists(st.tuples(_RUN_WEIGHTS, st.sampled_from((1, 1, 2, 3, 4, 7))),
+                           max_size=max_blocks))
+    return [w for w, length in blocks for _ in range(length)]
+
+
+@st.composite
+def run_trees(draw):
+    """Builder trees, chains and stars, whose arms hold runs."""
+    if draw(st.booleans()):
+        return chain_graph(draw(run_arms(max_blocks=7)), draw(st.integers(-3, 3)))
+    return star_graph(draw(_RUN_WEIGHTS), draw(st.lists(run_arms(), max_size=4)))
+
+
+def _runs_by_scan(g):
+    """{bottom: top} for every maximal run of at least three equal weights
+    below the root, in which each vertex but the bottom has one child."""
+    _, weights, up = g._rooted
+    children = [[] for _ in weights]
+    for i in range(1, len(weights)):
+        children[up[i]].append(i)
+    only = [c[0] if len(c) == 1 else None for c in children]
+    runs = {}
+    for v in range(1, len(weights)):
+        p = up[v]
+        if p > 0 and only[p] == v and weights[p] == weights[v]:
+            continue  # v continues its parent's run
+        bottom = v
+        while only[bottom] is not None and weights[only[bottom]] == weights[v]:
+            bottom = only[bottom]
+        if bottom - v >= 2:
+            runs[bottom] = v
+    return runs
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_trees())
+def test_run_steps_match_the_per_vertex_passes(g):
+    _assert_run_steps_match(g)
+    if len(g) <= 40:
+        assert _wu_outcome(wu_solutions, g) == _wu_outcome(_dense_wu_solutions, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_trees())
+def test_builders_record_every_run(g):
+    # each run is a chain from parent to child, stored bottom first in
+    # ascending order, so that the passes can take them in either direction
+    runs = g._runs
+    assert runs == _runs_by_scan(g)
+    assert list(runs) == sorted(runs)
+    order, weights, up = g._rooted
+    for bottom, top in runs.items():
+        assert all(up[i] == i - 1 and weights[i] == weights[top] for i in range(top + 1, bottom + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_trees(max_vertices=18, weight=_WU_WEIGHTS))
+def test_validated_graphs_have_no_runs(g):
+    assert g._runs == {}
+    _assert_run_steps_match(g)
+
+
+def test_run_steps_at_the_edges():
+    # below a -2 run, a -1 over a -3 leaves the bottom at -1/2: |a| < |b|,
+    # and the vertex above it has effective weight 0, a hyperbolic pair
+    # with the next one
+    g = chain_graph([-2] * 5 + [-1, -3])
+    assert g._runs == {4: 1}
+    assert _tree_inertia(g) == (1, 6, 0) == signature(intersection_matrix(g))
+    # a 0 over a 3 turns the bottom's sign; an odd run; a run of +4s
+    for g in (chain_graph([-2] * 5 + [0, 3]), chain_graph([5, 3, 3, 3, 3, 1]),
+              star_graph(4, [[4] * 6, [-2, -2, -2, 0], [1]]),
+              star_graph(0, [[-2] * 4 + [0] * 3, [2] * 3 + [1, 0]])):
+        assert g._runs
+        _assert_run_steps_match(g)
+    # a one-armed star and a chain keep the root out of their runs
+    assert star_graph(-2, [[-2, -2, -2]])._runs == chain_graph([-2] * 4)._runs == {3: 1}
+
+
+def test_run_continuants_follow_the_recurrence():
+    # a run step hands its top the per-vertex loop's own unreduced
+    # (num, den), not just their ratio
+    for w in range(-5, 6):
+        u = [0, 1]  # U_{-1}, U_0
+        for m in range(1, 40):
+            u.append(w * u[-1] - u[-2])
+            assert _run_continuants(w, m) == tuple(u[-3:]), (w, m)
+
+
+def _spin_lens_chains(p_max):
+    for p in range(2, p_max):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                for eps in (1, -1):
+                    if is_spin_sign_admissible(q, p, eps):
+                        yield seifert_to_plumbing(LensSpace(p, q, eps))[0]
+
+
+def test_run_steps_on_compiled_trees():
+    graphs = list(_spin_lens_chains(200))
+    assert len(graphs) > 10000
+    graphs += [seifert_to_plumbing(*instantiate_case(case))[0]
+               for case in iter_cases(k_span=3, n_max=14, b_max=14)]
+    for g in graphs:
+        _assert_run_steps_match(g)
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5])
+def test_run_steps_on_long_arms(n):
+    s = SeifertData([(2, 1), (2, 1), (n, n - 1)])
+    graphs = [seifert_to_plumbing(LensSpace(n + 1, n, -1))[0]]
+    graphs += [seifert_to_plumbing(s, c)[0] for c in spin_enumerate(s)]
+    # the chain is one run below its root; so is a star's long arm
+    assert graphs[0]._runs == {n - 1: 1}
+    for g in graphs:
+        _assert_run_steps_match(g)
+
+
+def test_plumbing_route_agrees_at_scale():
+    n = 10**5
+    g, w = seifert_to_plumbing(LensSpace(n + 1, n, -1))
+    assert plumbing_delta(g, w) == sigma(n, n + 1, -1)
+    assert WuVector() in wu_solutions(g)
+    s = SeifertData([(2, 1), (2, 1), (n, n - 1)])
+    structures = spin_enumerate(s)
+    assert len(structures) == 4
+    for c in structures:
+        g, w = seifert_to_plumbing(s, c)
+        assert plumbing_delta(g, w) == delta(s, c), c
+
+
 # --- compiling Seifert data ------------------------------------------------------
 
 
@@ -643,16 +869,16 @@ def test_inertia_is_computed_once_per_graph(monkeypatch):
     arms = [(0,), (2,), (-2, 1), (3,)]
     doc = graph_to_json(star_graph(0, arms))
     h = star_graph(0, arms)
+    # every derived attribute comes from one table, read on first use
     calls = []
-    real = plumbing._tree_inertia
-    monkeypatch.setattr(plumbing, "_tree_inertia", lambda g: calls.append(g) or real(g))
+    real = plumbing._DERIVE["_inertia"]
+    monkeypatch.setitem(plumbing._DERIVE, "_inertia", lambda g: calls.append(g) or real(g))
     # the rooted order is searched for once per validated graph, for the
     # connectivity check, the Wu solve and the inertia alike, and never for
     # a builder's tree, which comes with its own
     orders = []
-    prop = plumbing.PlumbingGraph.__dict__["_rooted"]
-    real_order = prop.func
-    monkeypatch.setattr(prop, "func", lambda g: orders.append(real_order(g)) or orders[-1])
+    real_order = plumbing._DERIVE["_rooted"]
+    monkeypatch.setitem(plumbing._DERIVE, "_rooted", lambda g: orders.append(real_order(g)) or orders[-1])
     for make, searches in (
         (lambda: star_graph(0, arms), 0),
         (lambda: PlumbingGraph(h.vertices, h.edges), 1),
@@ -667,10 +893,11 @@ def test_inertia_is_computed_once_per_graph(monkeypatch):
         if searches:
             assert g._rooted is orders[0]
     g = star_graph(0, arms)
-    assert g._inertia == real(g) == signature(intersection_matrix(g))
-    # a cached value, like the lookup maps, stays out of ==, hash and repr
+    assert g._inertia == _tree_inertia(g) == signature(intersection_matrix(g))
+    # a derived value, like the lookup maps, stays out of ==, hash and repr
     assert g == h and hash(g) == hash(h)
     assert "_inertia" not in repr(g) and "_rooted" not in repr(g)
+    assert not any(isinstance(v, functools.cached_property) for v in vars(PlumbingGraph).values())
 
 
 def test_json_roundtrip():
