@@ -39,31 +39,35 @@ need nothing else.  The builders make each vertex after its parent, and
 those lists are all a builder's tree stores, with its runs: its
 ``vertices`` and ``edges`` fields and its weight and adjacency maps are
 derived from them on first use, so a tree that is only compiled, solved
-and measured never builds any of them.  A graph from the validating
-constructor stores the fields it was given and gets the lists once, from
-its connectivity check.  Every attribute a graph derives, fields, maps,
-lists, its odd vertices and its inertia, comes from one table,
-``_DERIVE``, read on first use and stored.
+and measured never builds any of them.  ``chain_graph`` and
+``star_graph`` put each weight through ``int()``; the compile path hands
+``even_cf_expand``'s ints to the same tree builder without a copy.  A
+graph from the validating constructor stores the fields it was given and
+gets the lists once, from its connectivity check.  Every attribute a
+graph derives, fields, maps, lists, its odd vertices and its inertia,
+comes from one table, ``_DERIVE``, read on first use and stored.  The
+odd vertices are found from the distinct weights, so an all-even tree
+has none without a look at each vertex.
 
 A run is a stretch of at least three vertices of one weight w below the
 root, each but the lowest with one child, the next; the builders record
 each maximal run in an arm, and the even expansions a compiled tree is
-made of are mostly long runs of +-2.  Both passes cross a run in one
-step.  The inertia pass does when the lowest vertex's effective weight
-has w's sign and absolute value at least 1 and |w| >= 2: every vertex
-above then has w's sign, and the top's effective weight is a product of
-the run's transfer matrix, in closed form for w = +-2.  The Wu pass does
-when w is even: either every vertex above an unpinned lowest vertex with
-reduced diagonal 1 has diagonal 1, and the forms alternate f, 1 + f, or
-pinned vertices, which read 0, alternate with ones that all carry one
-form.
+made of are mostly long runs of +-2.  An arm of one weight throughout is
+recognised as one run by ``list.count``, and only a mixed arm is grouped
+into runs in Python.  Both passes cross a run in one step.  The inertia
+pass does when the lowest vertex's effective weight has w's sign and
+absolute value at least 1 and |w| >= 2: every vertex above then has w's
+sign, and the top's effective weight is a product of the run's transfer
+matrix, in closed form for w = +-2.  The Wu pass does when w is even:
+either every vertex above an unpinned lowest vertex with reduced diagonal
+1 has diagonal 1, and the forms alternate f, 1 + f, or pinned vertices,
+which read 0, alternate with ones that all carry one form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,23 +117,30 @@ class PlumbingGraph:
     _runs = types.MappingProxyType({})
 
     def __init__(self, vertices, edges=()):
-        vertices = tuple((int(i), int(w)) for i, w in vertices)
-        idset = {i for i, _ in vertices}
-        if len(idset) != len(vertices):
+        vertices = tuple([(int(i), int(w)) for i, w in vertices])
+        weight = dict(vertices)
+        if len(weight) != len(vertices):
             raise ValueError("duplicate vertex ids")
         norm = []
         for e in edges:
             i, j = e
-            if i == j or i not in idset or j not in idset:
+            if i == j or i not in weight or j not in weight:
                 raise ValueError(f"bad edge {e!r}")
-            norm.append((min(i, j), max(i, j)))
-        if len(set(norm)) != len(norm):
-            raise ValueError("duplicate edges")
-        if vertices and len(norm) != len(vertices) - 1:
-            raise ValueError("not a tree: |edges| != |vertices| - 1")
+            norm.append((j, i) if j < i else (i, j))
+        norm.sort()
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        if len(self._rooted[0]) != len(vertices):
+        object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "_weight", weight)
+        # n - 1 edges that reach every vertex from the first are a tree, with
+        # no edge repeated, so the search rejects a repeated edge too; only
+        # a graph that is not a tree pays for naming its fault: a repeated
+        # edge first, then the edge count, then connectivity
+        n = len(vertices)
+        if n and (len(norm) != n - 1 or len(self._rooted[0]) != n):
+            if len(set(norm)) != len(norm):
+                raise ValueError("duplicate edges")
+            if len(norm) != n - 1:
+                raise ValueError("not a tree: |edges| != |vertices| - 1")
             raise ValueError("not a tree: graph is disconnected")
 
     @classmethod
@@ -143,22 +154,29 @@ class PlumbingGraph:
         comes first and every other vertex after its parent.  So the
         positions are a rooted order, and they are stored as ``_rooted``
         without a search.  The fields come from them on first use
-        (``__getattr__``); weights still go through ``int()``.  Graphs
-        from outside come through ``__init__`` instead.
+        (``__getattr__``).  ``weights`` is a list of ints, stored as it is:
+        the public builders put each weight through ``int()``, and the
+        compile path hands over ``even_cf_expand``'s ints.  Graphs from
+        outside come through ``__init__`` instead.
 
         Each (first, end) pair of ``arms`` is a span of at least
         ``_MIN_RUN`` positions below the root in which every vertex but the
         last has one child, the next one.  Each maximal run of at least
         ``_MIN_RUN`` equal weights in an arm is stored in ``_runs`` as
         {bottom position: top position}, so that the passes can step over
-        its interior (``_tree_inertia``, ``_wu_forms``).
+        its interior (``_tree_inertia``, ``_wu_forms``).  An arm of one
+        weight throughout, as most compiled arms are, is found to be one
+        run by ``list.count``; only a mixed arm is grouped.
         """
         g = object.__new__(cls)
-        weights = list(map(int, weights))
         runs = {}
         for first, end in arms:
+            arm = weights[first:end]
+            if arm.count(arm[0]) == len(arm):
+                runs[end - 1] = first
+                continue
             top = first
-            for _, same in itertools.groupby(weights[first:end]):
+            for _, same in itertools.groupby(arm):
                 bottom = top + len(list(same)) - 1
                 if bottom - top >= _MIN_RUN - 1:
                     runs[bottom] = top
@@ -195,7 +213,7 @@ class PlumbingGraph:
         return self._weight[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(self._adj[v])
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -208,15 +226,17 @@ def _derive_edges(g: PlumbingGraph) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(zip([order[p] for p in up[1:]], order[1:])))
 
 
-def _derive_adj(g: PlumbingGraph) -> dict[int, tuple[int, ...]]:
+def _derive_adj(g: PlumbingGraph) -> dict[int, list[int]]:
     """Each vertex's neighbours, in ascending order because the edges come
-    sorted; read by the connectivity search, ``neighbors`` / ``degree``, a
-    Wu check on a nonempty support and ``blow_down``."""
+    sorted, built in one pass over them; read by the connectivity search,
+    ``neighbors`` / ``degree``, a Wu check on a nonempty support and
+    ``blow_down``.  The lists stay private: ``neighbors`` hands out
+    tuples."""
     adj = {i: [] for i, _ in g.vertices}
     for i, j in g.edges:
         adj[i].append(j)
         adj[j].append(i)
-    return {i: tuple(nb) for i, nb in adj.items()}
+    return adj
 
 
 def _derive_rooted(g: PlumbingGraph) -> tuple[list[int], list[int], list[int]]:
@@ -225,7 +245,7 @@ def _derive_rooted(g: PlumbingGraph) -> tuple[list[int], list[int], list[int]]:
     parent, neighbours in ascending order), their weights, and each one's
     parent as a position in ``order``, -1 at the root; ([], [], []) for the
     empty graph.  Found once, by this search, which doubles as the
-    connectivity check: on a disconnected graph ``order`` misses the
+    connectivity check: on a graph that is not a tree ``order`` misses the
     vertices the search did not reach."""
     if not g.vertices:
         return [], [], []
@@ -240,16 +260,19 @@ def _derive_rooted(g: PlumbingGraph) -> tuple[list[int], list[int], list[int]]:
                 seen.add(u)
                 order.append(u)
                 up.append(i)
-    weight = g._weight
-    return order, [weight[v] for v in order], up
+    return order, list(map(g._weight.__getitem__, order)), up
 
 
 def _derive_odd(g: PlumbingGraph) -> frozenset[int]:
     """The vertices of odd weight, the only ones a Wu check must reach
-    beyond the support."""
+    beyond the support.  The odd values are picked from the distinct
+    weights, so an all-even tree, as every compiled one is, reads no
+    vertex's weight in Python."""
     order, weights, _ = g._rooted
-    low_bits = map(operator.and_, weights, itertools.repeat(1))
-    return frozenset(itertools.compress(order, low_bits))
+    odd = {w for w in set(weights) if w & 1}
+    if not odd:
+        return frozenset()
+    return frozenset(itertools.compress(order, map(odd.__contains__, weights)))
 
 
 # How ``PlumbingGraph.__getattr__`` derives each attribute a graph has not
@@ -402,7 +425,8 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[int], int]:
     """
     _, weights, up = g._rooted
     n = len(weights)
-    eff = [w & 1 for w in weights]
+    # an all-even tree, which every compiled one is, starts from all zeros
+    eff = [w & 1 for w in weights] if g._odd else [0] * n
     pin = [-1] * n  # a pinned vertex's first eff-0 child, the one its equation defines
     later = {}  # a pinned vertex's later eff-0 children, each a free variable
     free = []
@@ -664,8 +688,13 @@ def blow_down(g: PlumbingGraph, w: WuVector, v: int) -> tuple[PlumbingGraph, lis
 
 def chain_graph(weights, start_id: int = 0) -> PlumbingGraph:
     """Linear chain with consecutive ids from ``start_id``, in weight order;
-    its vertices below the root are one arm."""
-    weights = list(weights)
+    its vertices below the root are one arm.  Each weight goes through
+    ``int()`` here, so numpy ints and booleans come out as ints."""
+    return _chain(list(map(int, weights)), start_id)
+
+
+def _chain(weights: list[int], start_id: int = 0) -> PlumbingGraph:
+    """``chain_graph`` on a list of ints, taken as it is."""
     n = len(weights)
     arms = [(1, n)] if n > _MIN_RUN else []
     return PlumbingGraph._from_tree(weights, range(-1, n - 1), arms, start_id)
@@ -677,7 +706,16 @@ def star_graph(center_weight: int, arms) -> PlumbingGraph:
     Ids are consecutive along each arm, arm after arm, and every new vertex
     hangs off an earlier one, so the result is a tree by construction, in a
     rooted order, and is built without ``PlumbingGraph``'s re-validation.
+    Each weight goes through ``int()`` once the arms have been read.
     """
+    weights, up, long_arms = _star_arrays(center_weight, arms)
+    return PlumbingGraph._from_tree(list(map(int, weights)), up, long_arms)
+
+
+def _star_arrays(center_weight, arms) -> tuple[list, list[int], list[tuple[int, int]]]:
+    """A star's weights and parent positions in its rooted order, with the
+    (first, end) span of each arm of at least ``_MIN_RUN`` vertices; the
+    weights are taken as they are."""
     weights = [center_weight]
     up = [-1]
     long_arms = []
@@ -690,7 +728,7 @@ def star_graph(center_weight: int, arms) -> PlumbingGraph:
             up.extend(range(start, end - 1))
             if end - start >= _MIN_RUN:
                 long_arms.append((start, end))
-    return PlumbingGraph._from_tree(weights, up, long_arms)
+    return weights, up, long_arms
 
 
 def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
@@ -724,7 +762,8 @@ def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
         arms.append(even_cf_expand(a, bp))
     total = sum(shifts)
     assert total % 2 == 0, "meridian shifts should sum to an even framing"
-    g = star_graph(-total, arms)
+    # the expansions are ints, so the tree takes them without a copy
+    g = PlumbingGraph._from_tree(*_star_arrays(-total, arms))
     assert _is_wu(g, _NO_WU)
     return g, _NO_WU
 
@@ -732,14 +771,14 @@ def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
 def _lens_to_plumbing(lens: LensSpace) -> tuple[PlumbingGraph, WuVector]:
     p, q, eps = lens.p, lens.q, lens.eps
     if p == 1:
-        return chain_graph([]), _NO_WU
+        return _chain([]), _NO_WU
     # the eps = -1 chain expands q' = q, the eps = +1 chain q' = q + p, with
     # q' reduced mod 2p into (-p, p); for p odd the admissible eps makes q'
     # even, which is the spin chain
     qp = (q + (p if eps == 1 else 0)) % (2 * p)
     if qp >= p:
         qp -= 2 * p
-    g = chain_graph(even_cf_expand(-p, qp))
+    g = _chain(list(even_cf_expand(-p, qp)))
     assert _is_wu(g, _NO_WU)
     return g, _NO_WU
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import pickle
 import random
 import re
@@ -13,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spindefect
@@ -69,6 +70,106 @@ def test_graph_validation():
     for lookup in (g.weight, g.neighbors, g.degree):
         with pytest.raises(KeyError):
             lookup(7)
+
+
+def _constructor_by_separate_checks(vertices, edges):
+    """The validating constructor as it was before its one-pass search: an
+    id set, a duplicate-edge set and an edge count ahead of the search over
+    tuple adjacency.  Returns (vertices, edges, rooted, adjacency) or the
+    (error type, message) it raised; the reference for ``__init__``."""
+    try:
+        vertices = tuple((int(i), int(w)) for i, w in vertices)
+        idset = {i for i, _ in vertices}
+        if len(idset) != len(vertices):
+            raise ValueError("duplicate vertex ids")
+        norm = []
+        for e in edges:
+            i, j = e
+            if i == j or i not in idset or j not in idset:
+                raise ValueError(f"bad edge {e!r}")
+            norm.append((min(i, j), max(i, j)))
+        if len(set(norm)) != len(norm):
+            raise ValueError("duplicate edges")
+        if vertices and len(norm) != len(vertices) - 1:
+            raise ValueError("not a tree: |edges| != |vertices| - 1")
+        edges = tuple(sorted(norm))
+        adj = {i: [] for i, _ in vertices}
+        for i, j in edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        adj = {i: tuple(nb) for i, nb in adj.items()}
+        order, up = [], []
+        if vertices:
+            root = vertices[0][0]
+            seen, order, up = {root}, [root], [-1]
+            for k, v in enumerate(order):
+                for u in adj[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        order.append(u)
+                        up.append(k)
+        if len(order) != len(vertices):
+            raise ValueError("not a tree: graph is disconnected")
+        weight = dict(vertices)
+        return vertices, edges, (order, [weight[v] for v in order], up), adj
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _constructor_outcome(vertices, edges):
+    try:
+        g = PlumbingGraph(vertices, edges)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return g.vertices, g.edges, g._rooted, {v: g.neighbors(v) for v in g.ids}
+
+
+_FAULTS = ("duplicate id", "self-loop", "unknown end", "duplicate edge", "cycle",
+           "forest", "cycle and forest", "float end")
+
+
+@st.composite
+def constructor_inputs(draw):
+    """Vertex and edge lists for the validating constructor: a random tree
+    with up to two faults, edges shuffled and turned either way round."""
+    n = draw(st.integers(0, 8))
+    ids = draw(st.lists(st.integers(-6, 9), min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    edges = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
+    pick = st.sampled_from(ids) if ids else st.integers(-6, 9)
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        if fault == "duplicate id" and n >= 2:
+            k = draw(st.integers(1, n - 1))
+            ids[k] = ids[draw(st.integers(0, k - 1))]
+        elif fault == "self-loop":
+            v = draw(pick)
+            edges.append((v, v))
+        elif fault == "unknown end":
+            stranger = draw(st.integers(-8, 11).filter(lambda v: v not in ids))
+            edges.append((draw(pick), stranger))
+        elif fault == "duplicate edge" and edges:
+            i, j = draw(st.sampled_from(edges))
+            edges.append((j, i) if draw(st.booleans()) else (i, j))
+        elif fault in ("cycle", "cycle and forest") and n >= 3:
+            edges.append(tuple(draw(st.lists(pick, min_size=2, max_size=2, unique=True))))
+            if fault == "cycle and forest":
+                edges.pop(draw(st.integers(0, len(edges) - 2)))
+        elif fault == "forest" and edges:
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+        elif fault == "float end" and edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            edges[k] = (float(edges[k][0]), edges[k][1])
+    edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in draw(st.permutations(edges))]
+    return list(zip(ids, weights)), edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(constructor_inputs())
+def test_validating_constructor_matches_the_separate_checks(graph):
+    # same fields, rooted order and neighbours, or the same rejection, in
+    # the same precedence when an input has several faults
+    vertices, edges = graph
+    assert _constructor_outcome(vertices, edges) == _constructor_by_separate_checks(vertices, edges)
 
 
 def test_lookup_maps_stay_out_of_equality():
@@ -529,6 +630,13 @@ def test_run_steps_match_the_per_vertex_passes(g):
 
 @settings(max_examples=300, deadline=None)
 @given(run_trees())
+# arms of one weight throughout, of 2, 3 and 4 vertices, and arms equal but
+# for their last entry
+@example(star_graph(-2, [[2, 2], [2, 2, 2], [-2] * 4, [4] * 3 + [2], [2, 2, 4]]))
+@example(chain_graph([7, 2, 2]))
+@example(chain_graph([7, -2, -2, -2]))
+@example(chain_graph(np.array([1, 4, 4, 4, 4])))
+@example(chain_graph([0, -2, -2, -2, -2, 3]))
 def test_builders_record_every_run(g):
     # each run is a chain from parent to child, stored bottom first in
     # ascending order, so that the passes can take them in either direction
@@ -545,6 +653,25 @@ def test_builders_record_every_run(g):
 def test_validated_graphs_have_no_runs(g):
     assert g._runs == {}
     _assert_run_steps_match(g)
+
+
+def _odd_by_low_bits(g):
+    """The odd-weight vertices by a low-bit test of every weight: the
+    reference for ``_derive_odd``, which picks the odd values first."""
+    order, weights, _ = g._rooted
+    low_bits = map(operator.and_, weights, itertools.repeat(1))
+    return frozenset(itertools.compress(order, low_bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    random_trees(weight=_WU_WEIGHTS),
+    random_trees(weight=st.sampled_from((-4, -2, 0, 2, 4))),
+    run_trees(),
+))
+def test_odd_vertices_match_the_low_bit_test(g):
+    # zero, negative odd and all-even weights, on validated and builder trees
+    assert g._odd == _odd_by_low_bits(g)
 
 
 def test_run_steps_at_the_edges():
@@ -746,6 +873,38 @@ def test_star_and_parse_star():
         parse_star("(2; ; 3)")
     with pytest.raises(ValueError):
         parse_star("(2; x)")
+
+
+def test_compiled_trees_hold_python_ints(monkeypatch):
+    stars = [seifert_to_plumbing(*instantiate_case(case))[0]
+             for case in iter_cases(k_span=3, n_max=14, b_max=14)]
+    for g in [*_spin_lens_chains(200), *stars]:
+        assert all(type(w) is int for w in g._rooted[1])
+    # the public builders turn numpy ints and booleans into ints
+    bits = np.array([True, False, True, True, True])
+    for g in (chain_graph(np.array([-3, 2, 2, 2])), chain_graph(bits, start_id=np.int64(5)),
+              star_graph(np.int32(-2), [np.array([2, 2, 2]), bits]), parse_star("(-2; 2,2,2; 1)")):
+        assert all(type(w) is int for w in g._rooted[1])
+        assert all(type(i) is int for i in g._rooted[0])
+        assert g._runs
+    # and refuse what int() refuses, with its error
+    for build, error, message in (
+        (lambda: chain_graph(["a"]), ValueError, "invalid literal for int() with base 10: 'a'"),
+        (lambda: chain_graph(5), TypeError, "'int' object is not iterable"),
+        (lambda: star_graph(0, [["a"]]), ValueError, "invalid literal for int() with base 10: 'a'"),
+        # the arms are read before any weight is converted
+        (lambda: star_graph("x", [5]), TypeError, "'int' object is not iterable"),
+        (lambda: star_graph(None, []), TypeError,
+         "int() argument must be a string, a bytes-like object or a real number, not 'NoneType'"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+    # the compile path hands its ints to the tree without the public builders
+    monkeypatch.setattr(plumbing, "chain_graph", None)
+    monkeypatch.setattr(plumbing, "star_graph", None)
+    assert seifert_to_plumbing(LensSpace(6, 5, -1))[0] == chain_graph([-2] * 5)
+    s = SeifertData([(2, 1), (3, 1), (5, -4)])
+    assert seifert_to_plumbing(s, spin_enumerate(s)[0])[0] == E8
 
 
 def _validated_star(center, arms):
