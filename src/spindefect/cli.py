@@ -81,7 +81,16 @@ def _shape_from_args(args) -> FourManifoldShape:
     return FourManifoldShape(args.bplus, args.bminus, sign)
 
 
-def _lens_from_args(args) -> LensSpace:
+def _lens_from_args(args) -> LensSpace | None:
+    """The lens space of --lens and --eps, or None without --lens; refuses
+    --lens beside the Seifert flags and --eps without --lens, since
+    either would leave a flag unread."""
+    if args.lens is None:
+        if args.eps is not None:
+            raise ValueError("--eps needs --lens")
+        return None
+    if args.seifert is not None or args.spin is not None or getattr(args, "all_spin", False):
+        raise ValueError("--lens cannot be combined with --seifert, --spin or --all-spin")
     p, q = args.lens
     eps = args.eps
     if p == 0:
@@ -98,8 +107,8 @@ def _space_from_args(args):
 
     The labels are None for a lens space, whose structure is its eps.
     """
-    if args.lens:
-        lens = _lens_from_args(args)
+    lens = _lens_from_args(args)
+    if lens is not None:
         return lens, None, {"lens": [lens.p, lens.q], "eps": lens.eps}
     if not args.seifert or not args.spin:
         raise ValueError("need --seifert with --spin, or --lens")
@@ -164,8 +173,8 @@ def cmd_spin_list(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    if args.lens:
-        lens = _lens_from_args(args)
+    lens = _lens_from_args(args)
+    if lens is not None:
         val = delta(lens)
         lines = [f"delta(L({lens.p},{lens.q}), eps={lens.eps:+d}) = {val}"]
         _emit(args, lines, {
@@ -527,10 +536,11 @@ def _add_shape_flags(sub):
 
 def _add_seifert_flags(sub, with_all=False):
     sub.add_argument("--seifert", help='e.g. "(2,1),(3,1),(5,-4)"')
-    sub.add_argument("--spin", help='labels "c1,c2,c3[;ch]"')
+    labels = sub.add_mutually_exclusive_group() if with_all else sub
+    labels.add_argument("--spin", help='labels "c1,c2,c3[;ch]"')
     if with_all:
-        sub.add_argument("--all-spin", action="store_true",
-                         help="report every spin structure")
+        labels.add_argument("--all-spin", action="store_true",
+                            help="report every spin structure")
     sub.add_argument("--lens", nargs=2, type=int, metavar=("P", "Q"))
     sub.add_argument("--eps", type=int, choices=(1, -1),
                      help="lens spin structure (required when p is even)")
@@ -571,8 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plumbing", parents=[common],
                        help="signature, Wu vectors and defects of a tree")
-    p.add_argument("--star", help='star weights "(a; c1,c2; d1; ...)"')
-    p.add_argument("--graph", help="graph JSON file, or - for stdin")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--star", help='star weights "(a; c1,c2; d1; ...)"')
+    source.add_argument("--graph", help="graph JSON file, or - for stdin")
     p.add_argument("--wu", help='explicit Wu bits "0,1,0,..."')
     p.set_defaults(func=cmd_plumbing)
 

@@ -27,7 +27,7 @@ from typing import Mapping
 
 from . import catalog
 from .errors import InternalDisagreement
-from .seifert import LensSpace, _euler_numerator
+from .seifert import LensSpace
 
 __all__ = [
     "VerdictStatus",
@@ -188,7 +188,7 @@ def cobordism_order_certificate(s, c=None) -> CobordismCertificate:
     if isinstance(s, LensSpace):
         odd = s.p % 2 == 1
     else:
-        odd = _euler_numerator(s.pairs) % 2 == 1  # |H_1| = |numerator|
+        odd = s._euler % 2 == 1  # |H_1| = |numerator|
     return CobordismCertificate(value, value != 0, odd)
 
 

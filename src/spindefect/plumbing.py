@@ -35,15 +35,15 @@ Both passes run over positions in one rooted order of the tree, stored
 once per graph as three aligned lists: the vertex ids with the root first
 and every vertex after its parent, their weights, and each parent's
 position.  Every tree edge joins a vertex to its parent, so the passes
-need nothing else.  The builders make each vertex after its parent, and
-those lists are all a builder's tree stores, with its runs: its
-``vertices`` and ``edges`` fields and its weight and adjacency maps are
-derived from them on first use, so a tree that is only compiled, solved
-and measured never builds any of them.  ``chain_graph`` and
-``star_graph`` put each weight through ``int()``; the compile path hands
-``even_cf_expand``'s ints to the same tree builder without a copy.  A
-graph from the validating constructor stores the fields it was given and
-gets the lists once, from its connectivity check.  Every attribute a
+need nothing else.  Every builder makes its tree through ``_tree``, which
+puts each vertex after its parent, and those lists are all a builder's
+tree stores, with its runs: its ``vertices`` and ``edges`` fields and its
+weight and adjacency maps are derived from them on first use, so a tree
+that is only compiled, solved and measured never builds any of them.
+``chain_graph`` and ``star_graph`` put each weight through ``int()``;
+``parse_star`` and the compile path hand their ints to ``_tree`` as they
+are.  A graph from the validating constructor stores the fields it was
+given and gets the lists once, from its connectivity check.  Every attribute a
 graph derives, fields, maps, lists, its odd vertices and its inertia,
 comes from one table, ``_DERIVE``, read on first use and stored.  The
 odd vertices are found from the distinct weights, so an all-even tree
@@ -103,7 +103,7 @@ class PlumbingGraph:
 
     The empty graph is allowed (it is the terminal state of blow-down
     sequences); any nonempty graph must be a connected tree.  A builder's
-    tree stores only its rooted arrays and its runs, and derives
+    tree (``_tree``) stores only its rooted arrays and its runs, and derives
     ``vertices``, ``edges`` and the lookup maps on first use, storing each
     one once; ==, hash and repr read the fields, so they see the same graph
     either way.
@@ -112,7 +112,7 @@ class PlumbingGraph:
     vertices: tuple[tuple[int, int], ...]
     edges: tuple[tuple[int, int], ...]
 
-    # {bottom position: top position} of each run a builder found (_from_tree);
+    # {bottom position: top position} of each run a builder found (_tree);
     # a validated graph has none
     _runs = types.MappingProxyType({})
 
@@ -142,50 +142,6 @@ class PlumbingGraph:
             if len(norm) != n - 1:
                 raise ValueError("not a tree: |edges| != |vertices| - 1")
             raise ValueError("not a tree: graph is disconnected")
-
-    @classmethod
-    def _from_tree(cls, weights, up, arms, start_id: int = 0) -> PlumbingGraph:
-        """A graph from a builder that has just made a tree, not re-validated.
-
-        ``weights`` and ``up`` are aligned by position: the vertex at
-        position i has id ``start_id + i``, weight ``weights[i]`` and its
-        parent at position ``up[i]``, -1 at the root.  The builder
-        guarantees what ``chain_graph`` and ``star_graph`` do: the root
-        comes first and every other vertex after its parent.  So the
-        positions are a rooted order, and they are stored as ``_rooted``
-        without a search.  The fields come from them on first use
-        (``__getattr__``).  ``weights`` is a list of ints, stored as it is:
-        the public builders put each weight through ``int()``, and the
-        compile path hands over ``even_cf_expand``'s ints.  Graphs from
-        outside come through ``__init__`` instead.
-
-        Each (first, end) pair of ``arms`` is a span of at least
-        ``_MIN_RUN`` positions below the root in which every vertex but the
-        last has one child, the next one.  Each maximal run of at least
-        ``_MIN_RUN`` equal weights in an arm is stored in ``_runs`` as
-        {bottom position: top position}, so that the passes can step over
-        its interior (``_tree_inertia``, ``_wu_forms``).  An arm of one
-        weight throughout, as most compiled arms are, is found to be one
-        run by ``list.count``; only a mixed arm is grouped.
-        """
-        g = object.__new__(cls)
-        runs = {}
-        for first, end in arms:
-            arm = weights[first:end]
-            if arm.count(arm[0]) == len(arm):
-                runs[end - 1] = first
-                continue
-            top = first
-            for _, same in itertools.groupby(arm):
-                bottom = top + len(list(same)) - 1
-                if bottom - top >= _MIN_RUN - 1:
-                    runs[bottom] = top
-                top = bottom + 1
-        order = list(range(start_id, start_id + len(weights)))
-        object.__setattr__(g, "_rooted", (order, weights, list(up)))
-        if runs:
-            object.__setattr__(g, "_runs", runs)
-        return g
 
     def __getattr__(self, name):
         """Derive an attribute the graph has not stored yet, and store it.
@@ -686,49 +642,73 @@ def blow_down(g: PlumbingGraph, w: WuVector, v: int) -> tuple[PlumbingGraph, lis
 # builders and compilation
 
 
+def _tree(root, arms, start_id: int = 0) -> PlumbingGraph:
+    """The tree of every builder, not re-validated: the root, then each arm
+    as a chain hanging off it.
+
+    ``root`` holds the root's weight, or nothing for the empty chain; each
+    arm is a sequence of ints, taken as it is (``int()`` is the public
+    builders' job).  The vertex at position i gets id ``start_id + i``, ids
+    run along each arm, arm after arm, and every vertex comes after its
+    parent, so the positions are a rooted order, stored as ``_rooted``
+    without a search.  Graphs from outside come through
+    ``PlumbingGraph.__init__`` instead.
+
+    Each maximal run of at least ``_MIN_RUN`` equal weights in an arm is
+    stored in ``_runs`` as {bottom position: top position}, so that the
+    passes can step over its interior (``_tree_inertia``, ``_wu_forms``).
+    An arm of one weight throughout, as most compiled arms are, is found to
+    be one run by ``list.count``; only a mixed arm is grouped.
+    """
+    weights = list(root)
+    up = [-1] * len(weights)
+    runs = {}
+    for arm in arms:
+        first = len(weights)
+        n = len(arm)
+        if not n:
+            continue
+        weights += arm
+        up.append(0)
+        up += range(first, first + n - 1)
+        if n < _MIN_RUN:
+            continue
+        if arm.count(arm[0]) == n:
+            runs[first + n - 1] = first
+            continue
+        top = first
+        for _, same in itertools.groupby(arm):
+            bottom = top + len(list(same)) - 1
+            if bottom - top >= _MIN_RUN - 1:
+                runs[bottom] = top
+            top = bottom + 1
+    g = object.__new__(PlumbingGraph)
+    object.__setattr__(g, "_rooted", (list(range(start_id, start_id + len(weights))), weights, up))
+    if runs:
+        object.__setattr__(g, "_runs", runs)
+    return g
+
+
 def chain_graph(weights, start_id: int = 0) -> PlumbingGraph:
     """Linear chain with consecutive ids from ``start_id``, in weight order;
     its vertices below the root are one arm.  Each weight goes through
-    ``int()`` here, so numpy ints and booleans come out as ints."""
-    return _chain(list(map(int, weights)), start_id)
-
-
-def _chain(weights: list[int], start_id: int = 0) -> PlumbingGraph:
-    """``chain_graph`` on a list of ints, taken as it is."""
-    n = len(weights)
-    arms = [(1, n)] if n > _MIN_RUN else []
-    return PlumbingGraph._from_tree(weights, range(-1, n - 1), arms, start_id)
+    ``int()`` here, before ``_tree``, so numpy ints and booleans come out as
+    ints."""
+    weights = list(map(int, weights))
+    return _tree(weights[:1], [weights[1:]], start_id)
 
 
 def star_graph(center_weight: int, arms) -> PlumbingGraph:
     """Star-shaped tree: center id 0, each arm a chain hanging off it.
 
     Ids are consecutive along each arm, arm after arm, and every new vertex
-    hangs off an earlier one, so the result is a tree by construction, in a
-    rooted order, and is built without ``PlumbingGraph``'s re-validation.
-    Each weight goes through ``int()`` once the arms have been read.
+    hangs off an earlier one, so ``_tree`` builds it as a tree by
+    construction, in a rooted order, without ``PlumbingGraph``'s
+    re-validation.  The arms are read first, and then each weight goes
+    through ``int()`` here, the center's first.
     """
-    weights, up, long_arms = _star_arrays(center_weight, arms)
-    return PlumbingGraph._from_tree(list(map(int, weights)), up, long_arms)
-
-
-def _star_arrays(center_weight, arms) -> tuple[list, list[int], list[tuple[int, int]]]:
-    """A star's weights and parent positions in its rooted order, with the
-    (first, end) span of each arm of at least ``_MIN_RUN`` vertices; the
-    weights are taken as they are."""
-    weights = [center_weight]
-    up = [-1]
-    long_arms = []
-    for arm in arms:
-        start = len(weights)
-        weights.extend(arm)
-        end = len(weights)
-        if end > start:
-            up.append(0)
-            up.extend(range(start, end - 1))
-            if end - start >= _MIN_RUN:
-                long_arms.append((start, end))
-    return weights, up, long_arms
+    arms = [list(arm) for arm in arms]
+    return _tree([int(center_weight)], [list(map(int, arm)) for arm in arms])
 
 
 def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
@@ -762,8 +742,8 @@ def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
         arms.append(even_cf_expand(a, bp))
     total = sum(shifts)
     assert total % 2 == 0, "meridian shifts should sum to an even framing"
-    # the expansions are ints, so the tree takes them without a copy
-    g = PlumbingGraph._from_tree(*_star_arrays(-total, arms))
+    # the expansions are ints, so they go to the tree without int()
+    g = _tree([-total], arms)
     assert _is_wu(g, _NO_WU)
     return g, _NO_WU
 
@@ -771,14 +751,15 @@ def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
 def _lens_to_plumbing(lens: LensSpace) -> tuple[PlumbingGraph, WuVector]:
     p, q, eps = lens.p, lens.q, lens.eps
     if p == 1:
-        return _chain([]), _NO_WU
+        return _tree([], []), _NO_WU
     # the eps = -1 chain expands q' = q, the eps = +1 chain q' = q + p, with
     # q' reduced mod 2p into (-p, p); for p odd the admissible eps makes q'
     # even, which is the spin chain
     qp = (q + (p if eps == 1 else 0)) % (2 * p)
     if qp >= p:
         qp -= 2 * p
-    g = _chain(list(even_cf_expand(-p, qp)))
+    entries = even_cf_expand(-p, qp)
+    g = _tree(entries[:1], [entries[1:]])
     assert _is_wu(g, _NO_WU)
     return g, _NO_WU
 
@@ -802,7 +783,7 @@ def parse_star(text: str) -> PlumbingGraph:
         raise ValueError(f"cannot read star weights from {text!r}") from None
     if any(not arm for arm in arms):
         raise ValueError("empty arm in star description")
-    return star_graph(center, arms)
+    return _tree([center], arms)
 
 
 def graph_to_json(g: PlumbingGraph, w: WuVector | None = None) -> dict:

@@ -133,6 +133,42 @@ def test_inadmissible_lens_sign_exits_2_with_the_admissible_one(capsys):
     assert out == ""
 
 
+_POINCARE = "(2,1),(3,1),(5,-4)"
+_ONE_VERTEX = '{"vertices": [{"id": 0, "weight": -2}]}'
+
+
+@pytest.mark.parametrize("argv", [
+    # --lens names the space alone
+    ("delta", "--lens", "4", "3", "--eps", "1", "--seifert", _POINCARE, "--all-spin"),
+    ("delta", "--lens", "7", "3", "--seifert", _POINCARE),
+    ("delta", "--lens", "7", "3", "--spin", "1,1,0"),
+    ("delta", "--lens", "7", "3", "--all-spin"),
+    ("seifert-to-plumbing", "--lens", "8", "3", "--eps", "-1", "--seifert", _POINCARE, "--spin", "1,1,0"),
+    ("cobordism", "--lens", "7", "3", "--spin", "1,1,0"),
+    ("cobordism", "--seifert", "", "--lens", "7", "3"),
+    # one labelling or all of them, not both
+    ("delta", "--seifert", _POINCARE, "--spin", "1,1,0", "--all-spin"),
+    ("delta", "--seifert", _POINCARE, "--spin", "1,1,0", "--all-spin", "--eps", "1"),
+    # --eps is a lens structure
+    ("delta", "--seifert", _POINCARE, "--spin", "1,1,0", "--eps", "1"),
+    ("delta", "--seifert", _POINCARE, "--all-spin", "--eps", "-1"),
+    ("cobordism", "--seifert", _POINCARE, "--spin", "1,1,0", "--eps", "1"),
+    ("seifert-to-plumbing", "--seifert", _POINCARE, "--spin", "1,1,0", "--eps", "-1"),
+    # one tree at a time
+    ("plumbing", "--star", "(0; 3)", "--graph", "-"),
+])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_conflicting_flags_exit_2(capsys, monkeypatch, argv, json_flag):
+    monkeypatch.setattr("sys.stdin", io.StringIO(_ONE_VERTEX))
+    try:
+        rc = main([*argv, *json_flag])
+    except SystemExit as exc:  # argparse's mutually exclusive groups
+        rc = exc.code
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err.startswith(("error:", "usage:")), out.err
+
+
 def test_argparse_errors_also_exit_2(capsys):
     for argv in (["sigma", "3"], ["no-such-command"], []):
         with pytest.raises(SystemExit) as exc:

@@ -899,8 +899,9 @@ def test_compiled_trees_hold_python_ints(monkeypatch):
     ):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()
-    # the compile path hands its ints to the tree without the public builders,
-    # whose int() copy alone cost big-plumbing about 9 % of its items_per_s
+    # the compile path hands its ints straight to _tree, without the public
+    # builders, whose int() copy alone cost big-plumbing about 9 % of its
+    # items_per_s
     monkeypatch.setattr(plumbing, "chain_graph", None)
     monkeypatch.setattr(plumbing, "star_graph", None)
     assert seifert_to_plumbing(LensSpace(6, 5, -1))[0] == chain_graph([-2] * 5)

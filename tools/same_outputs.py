@@ -1,4 +1,4 @@
-"""Record what the plumbing route and its CLI commands return, one digest per family.
+"""Record what the package and its CLI commands return, one digest per family.
 
 Run from anywhere, naming the tree whose ``src/spindefect`` to import
 (default: the tree this script sits in)::
@@ -7,18 +7,24 @@ Run from anywhere, naming the tree whose ``src/spindefect`` to import
 
 Each output line is ``family records sha256``.  Run it at two trees, for
 instance a change and its parent, and compare the lines: a family whose
-digest moved has a record that differs.  The inputs are drawn from
-``random.Random`` seeded from ``SEED`` and never from the package, so both
-trees see the same ones.  Standard library only.
+digest moved has a record that differs.  The random inputs are drawn from
+``random.Random`` seeded from ``SEED``, so both trees see the same ones.
+Standard library only.
 
-A record holds, for each tree, its rooted arrays, runs, odd vertices,
-inertia, Wu supports in order, each Wu vector's defect and the types of its
-ids and weights (plus the fields and neighbours of a validated graph); a
-call that raises records its error type and message instead.  The CLI
-family records stdout, stderr and the exit code of the ``plumbing``,
-``seifert-to-plumbing`` and ``selftest`` fixtures of ``tests/test_cli.py``,
-in text and ``--json``.  More families can be added as further functions in
-``FAMILIES``.
+A plumbing record holds, for each tree, its rooted arrays, runs, odd
+vertices, inertia, Wu supports in order, each Wu vector's defect and the
+types of its ids and weights (plus the fields and neighbours of a validated
+graph).  The ``sigma`` family records ``sigma``, ``is_spin_sign_admissible``,
+``even_cf_expand`` and, for small p, the rounded ``sigma_trig``; the
+``catalog``, ``engine`` and ``obstruction`` families record ``classify``,
+``delta_table``, ``delta``, ``delta_engine`` and the verdict functions on
+catalog cases, re-presentations of them and seeded data.  A call that
+raises records its error type and message instead.  The two CLI families
+record stdout, stderr and the exit code of the fixtures of
+``tests/test_cli.py``, in text and ``--json``: ``cli`` the ``plumbing``,
+``seifert-to-plumbing`` and ``selftest`` ones, ``cli-routes`` the others.
+More families can be added as further functions at the end of
+``FAMILIES``, which keeps the inputs of the families before them.
 """
 
 from __future__ import annotations
@@ -26,17 +32,21 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
+import itertools
 import json
 import math
 import random
 import sys
+import types
 from pathlib import Path
 
 # the weights the random builder trees draw their runs from
 RUN_WEIGHTS = (-4, -2, 2, 4, -3, -1, 0, 1, 3)
 RANDOM_TREES = 20_000
-# each family draws from random.Random(SEED * 1000 + its index in FAMILIES)
+# each family draws from random.Random(SEED * 1000 + its index in FAMILIES),
+# and the catalog presentations the later families share from SEED * 1000 + 999
 SEED = 17
 
 
@@ -190,11 +200,14 @@ CLI_FIXTURES = [
 ]
 
 
-def cli_runs(sd, rng):
-    """Each CLI fixture, in text and with ``--json``."""
-    for argv, stdin in CLI_FIXTURES:
-        for mode in ([], ["--json"]):
-            yield argv + mode, stdin
+def cli_runs(fixtures):
+    """The inputs of a CLI family: each (argv, stdin) fixture, in text and
+    with ``--json``."""
+    def runs(sd, rng):
+        for argv, stdin in fixtures:
+            for mode in ([], ["--json"]):
+                yield argv + mode, stdin
+    return runs
 
 
 def cli_record(sd, fixture):
@@ -214,6 +227,206 @@ def cli_record(sd, fixture):
     return [rc, out.getvalue(), err.getvalue()]
 
 
+def sigma_values(sd, rng):
+    """Every (q, p, eps) with 1 <= p < 120 and -2p <= q <= 2p, seeded pairs of
+    up to 30 digits, and q = p - 1, 1 - p, p + 1 at p = 10^k for k <= 5."""
+    triples = [(q, p, eps) for p in range(1, 120) for q in range(-2 * p, 2 * p + 1) for eps in (1, -1)]
+    for _ in range(2000):
+        p = rng.randrange(1, 10 ** rng.randrange(2, 31))
+        q = rng.randrange(-2 * p, 2 * p + 1)
+        triples += [(q, p, 1), (q, p, -1)]
+    for k in range(6):
+        p = 10**k
+        triples += [(q, p, eps) for q in (p - 1, 1 - p, p + 1) for eps in (1, -1)]
+    return triples
+
+
+def sigma_record(sd, triple):
+    q, p, eps = triple
+    rec = [triple,
+           attempt(lambda: sd.sigma.sigma(q, p, eps)),
+           attempt(lambda: sd.sigma.is_spin_sign_admissible(q, p, eps)),
+           attempt(lambda: sd.sigma.even_cf_expand(p, q))]
+    if p <= 40:
+        rec.append(attempt(lambda: sd.sigma.sigma_trig(q, p, eps).rounded))
+    return rec
+
+
+def _case_fields(case):
+    return [case.family, case.row, sorted(case.params.items()), case.orientation_reversed]
+
+
+def _presentations(sd):
+    """Each case of ``iter_cases(3, 14, 14)`` as the catalog instantiates it,
+    then three times re-presented as the bench does: maybe reversed, fibers
+    permuted, coefficients shifted by (k1, k2, -k1 - k2) with |k| <= 3.  One
+    fixed draw, so every family that reads it sees the same data."""
+    rng = random.Random(SEED * 1000 + 999)
+    spaces = []
+    for case in sd.catalog.iter_cases(k_span=3, n_max=14, b_max=14):
+        s, c = sd.catalog.instantiate_case(case)
+        spaces.append((s, c))
+        for _ in range(3):
+            t, d = sd.seifert.reverse_orientation(s, c) if rng.random() < 0.5 else (s, c)
+            t, d = sd.seifert.permute_fibers(t, d, rng.sample(range(3), 3))
+            k1, k2 = rng.randint(-3, 3), rng.randint(-3, 3)
+            spaces.append(sd.seifert.shift_move(t, d, (k1, k2, -(k1 + k2))))
+    return spaces
+
+
+def catalog_values(sd, rng):
+    """Every case of ``iter_cases(3, 14, 14)`` and its row value; each
+    presentation; ``delta_table`` on parameters moved off their rows; and
+    the lens rows with p < 60, q from -1 to p + 1."""
+    cases = list(sd.catalog.iter_cases(k_span=3, n_max=14, b_max=14))
+    for case in cases:
+        yield "case", case
+    for space in _presentations(sd):
+        yield "space", space
+    for case in rng.sample(cases, 400):
+        params = dict(case.params)
+        key = rng.choice(sorted(params))
+        params[key] = rng.choice((-params[key], params[key] + 1, params[key] - 1, 0, rng.randint(-40, 40)))
+        yield "case", sd.catalog.DeltaCaseId(case.family, case.row, params, case.orientation_reversed)
+    for p in range(1, 60):
+        for q in range(-1, p + 2):
+            for eps in (1, -1):
+                yield "case", sd.catalog.DeltaCaseId(sd.catalog.FAMILY_LENS, "lens", {"p": p, "q": q, "eps": eps})
+    yield "case", sd.catalog.DeltaCaseId(sd.catalog.FAMILY_D, "no-such-row", {"n": 3, "b": 1})
+    yield "case", sd.catalog.DeltaCaseId(sd.catalog.FAMILY_I, "3-1", {"k": 0})
+
+
+def catalog_record(sd, item):
+    kind, x = item
+    if kind == "case":
+        return [_case_fields(x), attempt(lambda: sd.catalog.delta_table(x))]
+    s, c = x
+    case = attempt(lambda: sd.catalog.classify(s, c))
+    if isinstance(case, tuple):
+        return [s.pairs, c.cg, c.ch, case]
+    return [s.pairs, c.cg, c.ch, _case_fields(case),
+            attempt(lambda: sd.catalog.delta_table(case)), attempt(lambda: sd.catalog.delta(s, c))]
+
+
+_PLATONIC = ((2, 2, 2), (2, 2, 3), (2, 2, 5), (2, 2, 8), (2, 2, 13), (2, 3, 3), (2, 3, 4), (2, 3, 5))
+
+
+def _coprime(rng, a, bound):
+    b = 0
+    while math.gcd(a, b) != 1:
+        b = rng.randint(-bound, bound)
+    return b
+
+
+def engine_values(sd, rng):
+    """The presentations, with their labels; seeded platonic data with
+    |b| <= 40 under every labelling, non-spin ones among them; and all-odd
+    data, which the engine cannot split."""
+    for s, c in _presentations(sd):
+        yield s.pairs, c.cg, c.ch
+    labellings = [(cg, ch) for cg in itertools.product((0, 1), repeat=3) for ch in (0, 1)]
+    for _ in range(1500):
+        mults = rng.sample(rng.choice(_PLATONIC), 3)
+        pairs = tuple((a, _coprime(rng, a, 40)) for a in mults)
+        for cg, ch in labellings:
+            yield pairs, cg, ch
+    for _ in range(200):
+        mults = [1, rng.choice((1, 3, 5, 7, 9)), rng.choice((3, 5, 7, 9, 11))]
+        rng.shuffle(mults)
+        pairs = tuple((a, _coprime(rng, a, 40)) for a in mults)
+        yield pairs, tuple(rng.randrange(2) for _ in range(3)), rng.randrange(2)
+
+
+def engine_record(sd, item):
+    pairs, cg, ch = item
+    return [item, attempt(lambda: sd.seifert.delta_engine(sd.seifert.SeifertData(pairs),
+                                                          sd.seifert.SpinAssignment(cg, ch)))]
+
+
+def obstruction_values(sd, rng):
+    """``cobordism_order_certificate`` on the presentations and the spin lens
+    spaces with p < 60; ``definite_filling_signature`` for |delta| <= 300;
+    and the verdicts on shapes with b+- <= 6, with some inconsistent signs."""
+    for s, c in _presentations(sd):
+        yield "cobordism", (s, c)
+    for p in range(1, 60):
+        for q in range(-p, p + 1):
+            for eps in (1, -1):
+                if math.gcd(p, q) == 1 and sd.sigma.is_spin_sign_admissible(q, p, eps):
+                    yield "cobordism", (sd.seifert.LensSpace(p, q, eps), None)
+    for d in range(-300, 301):
+        yield "definite", d
+    yield "definite", (26, -1)
+    for bp in range(7):
+        for bm in range(7):
+            for sign in (bp - bm, bp - bm + 2):
+                for x in range(-24, 25):
+                    yield "shape", (bp, bm, sign, x)
+
+
+def obstruction_record(sd, item):
+    ob = sd.obstruction
+    kind, x = item
+    if kind == "cobordism":
+        s, c = x
+        return [repr(s), repr(c), attempt(lambda: ob.cobordism_order_certificate(s, c))]
+    if kind == "definite":
+        args = x if isinstance(x, tuple) else (x,)
+        return [args, attempt(lambda: ob.definite_filling_signature(*args))]
+    bp, bm, sign, n = x
+    shape = attempt(lambda: ob.FourManifoldShape(bp, bm, sign))
+    if isinstance(shape, tuple):
+        return [x, shape]
+    return [x,
+            attempt(lambda: ob.spin_filling_feasible(shape, n)),
+            attempt(lambda: ob.rp2_embedding_check(shape, n)),
+            attempt(lambda: ob.characteristic_sphere_check(shape, n))]
+
+
+# (argv, stdin) of the CLI fixtures of the other commands; the argv that
+# combine conflicting flags are left out, since their outcome is what a
+# change to flag checking changes
+_POINCARE = "(2,1),(3,1),(5,-4)"
+CLI_ROUTE_FIXTURES = [
+    (["sigma", "3", "4", "--eps", "+1"], ""),
+    (["sigma", "1", "3", "--eps", "-1"], ""),
+    (["sigma", "2", "4"], ""),
+    (["sigma", "3"], ""),
+    (["sigma", "709016970533566768071940907347", "1418743667764364333709519393452", "--eps", "-1"], ""),
+    (["evencf", "7", "4"], ""),
+    (["evencf", "-7", "4"], ""),
+    (["evencf", "1418743667764364333709519393452", "709016970533566768071940907347"], ""),
+    (["spin-list", "--seifert", "(2,1),(2,1),(4,1)"], ""),
+    (["spin-list", "--seifert", _POINCARE], ""),
+    (["delta", "--seifert", _POINCARE, "--all-spin"], ""),
+    (["delta", "--seifert", "(2,1),(3,1),(4,1)", "--all-spin"], ""),
+    (["delta", "--seifert", "(2,1),(2,1),(3,1)", "--spin", "0,1,1"], ""),
+    (["delta", "--seifert", "(2,1),(3,1)(5,-4)", "--all-spin"], ""),
+    (["delta", "--seifert", _POINCARE, "--spin", "0,0,0"], ""),
+    (["delta", "--lens", "8", "3", "--eps", "-1"], ""),
+    (["delta", "--lens", "7", "3"], ""),
+    (["delta", "--lens", "8", "3"], ""),
+    (["delta", "--lens", "8", "2", "--eps", "1"], ""),
+    (["delta", "--lens", "3", "-2", "--eps", "1"], ""),
+    (["delta", "--lens", "0", "1"], ""),
+    (["cobordism", "--seifert", _POINCARE, "--spin", "1,1,0"], ""),
+    (["cobordism", "--seifert", "(2,1),(2,1),(4,1)", "--spin", "0,0,0"], ""),
+    (["cobordism", "--lens", "7", "3"], ""),
+    (["feasible", "--bplus", "1", "--bminus", "0", "--sign", "0", "--delta", "0"], ""),
+    (["feasible", "--bplus", "0", "--bminus", "24", "--sign", "-24", "--delta", "-8"], ""),
+    (["feasible", "--bplus", "0", "--bminus", "8", "--sign", "-8", "--delta", "-8"], ""),
+    (["definite", "--delta", "26"], ""),
+    (["definite", "--delta", "-8"], ""),
+    (["definite", "--delta", "4", "--scan-limit", "-1"], ""),
+    (["definite", "--delta", "26", "--scan-limit", "10000"], ""),
+    (["rp2", "--bplus", "0", "--bminus", "0", "--sign", "0", "--euler", "2"], ""),
+    (["rp2", "--bplus", "0", "--bminus", "0", "--sign", "0", "--euler", "10"], ""),
+    (["char-sphere", "--bplus", "0", "--bminus", "1", "--square", "2"], ""),
+    (["char-sphere", "--bplus", "2", "--bminus", "0", "--square", "18"], ""),
+]
+
+
+
 # family name -> (its inputs, drawn from the family's generator, and the
 # function that records one input)
 FAMILIES = {
@@ -223,7 +436,12 @@ FAMILIES = {
     "builder-chains": (builder_chains, tree_record),
     "validated-trees": (validated_trees, validated_record),
     "long-trees": (long_trees, tree_record),
-    "cli": (cli_runs, cli_record),
+    "cli": (cli_runs(CLI_FIXTURES), cli_record),
+    "sigma": (sigma_values, sigma_record),
+    "catalog": (catalog_values, catalog_record),
+    "engine": (engine_values, engine_record),
+    "obstruction": (obstruction_values, obstruction_record),
+    "cli-routes": (cli_runs(CLI_ROUTE_FIXTURES), cli_record),
 }
 
 
@@ -233,12 +451,9 @@ def main(argv=None) -> int:
                         help="tree whose src/spindefect to import")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.tree) / "src"))
-    import spindefect.catalog
-    import spindefect.cli
-    import spindefect.plumbing
-    import spindefect.seifert
-
-    sd = spindefect
+    # the modules by name: the package's own ``sigma`` is the function
+    sd = types.SimpleNamespace(**{name: importlib.import_module(f"spindefect.{name}") for name in (
+        "catalog", "cli", "obstruction", "plumbing", "seifert", "sigma")})
     for k, (name, (inputs, record)) in enumerate(FAMILIES.items()):
         rng = random.Random(SEED * 1000 + k)
         digest = hashlib.sha256()
