@@ -72,7 +72,16 @@ class FourManifoldShape:
             )
 
     def mirror(self) -> "FourManifoldShape":
-        return FourManifoldShape(self.b_minus, self.b_plus, -self.sign)
+        """The shape of the reversed orientation: b_plus and b_minus swap
+        and sign negates.
+
+        Built without ``__post_init__``: the swap keeps both Betti numbers
+        non-negative and -sign = b_minus - b_plus, so the mirror of a valid
+        shape is valid, and re-checking it could only pass.
+        """
+        m = object.__new__(FourManifoldShape)
+        m.__dict__.update(b_plus=self.b_minus, b_minus=self.b_plus, sign=-self.sign)
+        return m
 
     @property
     def b_total(self) -> int:
@@ -90,6 +99,12 @@ class TenEighthsVerdict:
         return self.status is VerdictStatus.EXCLUDED
 
 
+# the two verdicts that carry no index of their own; a verdict is frozen, so
+# every call that reaches one of them can share it
+_OFF_RESIDUE = TenEighthsVerdict(VerdictStatus.EXCLUDED, None, False)
+_FORCED_EQUAL = TenEighthsVerdict(VerdictStatus.FORCED_EQUAL, 0, True)
+
+
 def ten_eighths_verdict(z: FourManifoldShape, delta_total: int) -> TenEighthsVerdict:
     """Trichotomy for a closed spin V 4-manifold of the given shape.
 
@@ -98,16 +113,20 @@ def ten_eighths_verdict(z: FourManifoldShape, delta_total: int) -> TenEighthsVer
     1 - b_minus <= ind <= b_plus - 1; ForcedEqual when ind = 0 is consistent
     but the range branch is not (small b_plus/b_minus force the index to
     vanish); otherwise Excluded.
+
+    The off-residue Excluded and ForcedEqual verdicts are fixed values, so
+    each is one shared frozen instance, equal to a fresh one; the caller
+    gets the same object every time.
     """
     total = z.sign + delta_total
     if total % 16 != 0:
-        return TenEighthsVerdict(VerdictStatus.EXCLUDED, None, False)
+        return _OFF_RESIDUE
     ind = -total // 8
     in_range = 1 - z.b_minus <= ind <= z.b_plus - 1
     if in_range:
         return TenEighthsVerdict(VerdictStatus.RANGE_ADMISSIBLE, ind, True)
     if ind == 0:
-        return TenEighthsVerdict(VerdictStatus.FORCED_EQUAL, 0, True)
+        return _FORCED_EQUAL
     return TenEighthsVerdict(VerdictStatus.EXCLUDED, ind, True)
 
 

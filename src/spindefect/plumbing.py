@@ -74,7 +74,7 @@ from fractions import Fraction
 
 from .errors import NoSolution, NoSpinForm
 from .seifert import LensSpace, SeifertData, SpinAssignment, spin_conditions_hold
-from .sigma import even_cf_expand
+from .sigma import _even_cf
 
 __all__ = [
     "PlumbingGraph",
@@ -609,9 +609,12 @@ def plumbing_delta(g: PlumbingGraph, w: WuVector) -> int:
     if not _is_wu(g, w):
         raise ValueError(f"{sorted(w.support)} is not a Wu vector of the graph")
     plus, minus, _ = g._inertia
+    support = w.support
+    if not support:
+        return plus - minus
     # a support vertex has an even number of support neighbours (_is_wu),
     # which in a forest means none: w.M.w has no cross terms
-    return (plus - minus) - sum(g.weight(v) for v in w.support)
+    return (plus - minus) - sum(g.weight(v) for v in support)
 
 
 def blow_down(g: PlumbingGraph, w: WuVector, v: int) -> tuple[PlumbingGraph, list[WuVector]]:
@@ -739,7 +742,8 @@ def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
         bp = b - a * k
         assert 0 < abs(bp) < a and (a + bp) % 2 == 1, (a, b, k)
         shifts.append(k)
-        arms.append(even_cf_expand(a, bp))
+        # gcd(a, bp) = gcd(a, b) = 1 from SeifertData: the kernel's domain
+        arms.append(_even_cf(a, bp))
     total = sum(shifts)
     assert total % 2 == 0, "meridian shifts should sum to an even framing"
     # the expansions are ints, so they go to the tree without int()
@@ -754,11 +758,12 @@ def _lens_to_plumbing(lens: LensSpace) -> tuple[PlumbingGraph, WuVector]:
         return _tree([], []), _NO_WU
     # the eps = -1 chain expands q' = q, the eps = +1 chain q' = q + p, with
     # q' reduced mod 2p into (-p, p); for p odd the admissible eps makes q'
-    # even, which is the spin chain
+    # even, which is the spin chain; gcd(p, q') = gcd(p, q) = 1 from
+    # LensSpace, so q' != 0 and the pair is in the kernel's domain
     qp = (q + (p if eps == 1 else 0)) % (2 * p)
     if qp >= p:
         qp -= 2 * p
-    entries = even_cf_expand(-p, qp)
+    entries = _even_cf(-p, qp)
     g = _tree(entries[:1], [entries[1:]])
     assert _is_wu(g, _NO_WU)
     return g, _NO_WU

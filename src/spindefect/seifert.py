@@ -127,10 +127,17 @@ def _euler_numerator(pairs) -> int:
 
 @dataclass(frozen=True)
 class SpinAssignment:
-    """Mod-2 labels (c(g_1), ..., c(g_m); c(h)) of a candidate spin structure."""
+    """Mod-2 labels (c(g_1), ..., c(g_m); c(h)) of a candidate spin structure.
+
+    A labelling that ``spin_enumerate`` built also carries ``_pairs``, the
+    ``pairs`` tuple of the space it was built valid for, outside ==, hash
+    and repr like ``SeifertData._euler``.  Any other labelling reads the
+    class's None.
+    """
 
     cg: tuple[int, ...]
     ch: int = 0
+    _pairs = None  # not a field: no annotation
 
     def __init__(self, cg, ch=0):
         object.__setattr__(self, "cg", tuple(int(x) % 2 for x in cg))
@@ -138,9 +145,20 @@ class SpinAssignment:
 
 
 def spin_conditions_hold(s: SeifertData, c: SpinAssignment) -> bool:
+    """Whether the labels c satisfy the spin constraints on s.
+
+    Trusts a labelling whose stamp *is* ``s.pairs``, the very tuple
+    ``spin_enumerate`` built it valid for: pairs and labels are immutable,
+    so the check would give True again, and True is returned without it.
+    An equal but distinct ``SeifertData``, a labelling from the constructor
+    or from a move, and a stamped labelling handed another space all take
+    the full check.
+    """
     # the checks read the pairs; an argument without them (a LensSpace) is
     # taken as it is, so len() and iteration still raise TypeError on it
     pairs = getattr(s, "pairs", s)
+    if c._pairs is pairs and pairs is not None:
+        return True
     cg, ch = c.cg, c.ch
     if len(cg) != len(pairs):
         raise ValueError("label count does not match fiber count")
@@ -162,8 +180,14 @@ def spin_enumerate(s: SeifertData) -> list[SpinAssignment]:
     so there the list never contains ch = 1.  The bits and c(h) are already
     0/1 ints, so each labelling is made directly, without the constructor's
     normalization.
+
+    Each labelling of a ``SeifertData`` is stamped with its ``pairs`` tuple,
+    which lets ``spin_conditions_hold`` skip re-checking it on that same
+    space (the engine, ``classify`` and ``seifert_to_plumbing`` each ask).
     """
     pairs = getattr(s, "pairs", s)  # see spin_conditions_hold
+    # only a SeifertData's pairs are known immutable and valid
+    stamp = pairs if isinstance(s, SeifertData) else None
     out = []
     for ch in (0, 1):
         choices = []
@@ -180,6 +204,7 @@ def spin_enumerate(s: SeifertData) -> list[SpinAssignment]:
                     c = object.__new__(SpinAssignment)
                     object.__setattr__(c, "cg", bits)
                     object.__setattr__(c, "ch", ch)
+                    object.__setattr__(c, "_pairs", stamp)
                     out.append(c)
     if not out:
         raise NoSpinForm(f"{s.pairs} admits no spin labelling")

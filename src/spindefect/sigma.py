@@ -79,9 +79,41 @@ def even_cf_expand(p: int, q: int) -> tuple[int, ...]:
     """Expand p/q as [[a_1, ..., a_n]] with every a_i even, |a_i| >= 2.
 
     Exists and is unique exactly when gcd(p, q) = 1, p + q is odd and
-    |p| > |q| >= 1.  Each step takes the unique even a with |p - a*q| < |q|
-    and recurses on (q, a*q - p).  The entries depend on p/q alone, so the
-    pair is kept with q > 0.
+    |p| > |q| >= 1.  This is the public entry: it checks those conditions,
+    raising ValueError on each, and hands the pair to ``_even_cf``, which
+    trusts them.  See ``_even_cf`` for the algorithm and its one error of
+    its own, a run too long to list.
+    """
+    if q == 0:
+        raise ValueError("q must be nonzero")
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"{p}/{q} is not in lowest terms")
+    if (p + q) % 2 == 0:
+        raise ValueError(
+            f"{p}/{q} has no even expansion (p and q have the same parity); "
+            "reduce with the shift/sign rules first"
+        )
+    if abs(p) <= abs(q):
+        raise ValueError(f"need |p| > |q|, got {p}/{q}")
+    return _even_cf(p, q)
+
+
+def _even_cf(p: int, q: int) -> tuple[int, ...]:
+    """The even expansion of p/q, for a pair its caller has already checked.
+
+    Trusts gcd(p, q) = 1, p + q odd and |p| > |q| >= 1 without looking:
+    every caller gets those from its own reduction or constructor.
+    ``_sigma`` reduces to coprime 0 < q < p of opposite parity (or to
+    (q + p, p) from there); a compiled star arm is (a, b') with
+    0 < |b'| < a, a + b' odd and gcd(a, b) = 1 from ``SeifertData``; a lens
+    chain is (-p, q') with 0 < |q'| < p, the parity an admissible eps gives
+    and gcd(p, q) = 1 from ``LensSpace``.  Outside that domain the result
+    means nothing (a tie raises AssertionError); ``even_cf_expand`` is the
+    checked entry.
+
+    Each step takes the unique even a with |p - a*q| < |q| and recurses on
+    (q, a*q - p).  The entries depend on p/q alone, so the pair is kept
+    with q > 0.
 
     Along a run of entries a = 2h (h = +-1), each step is, up to the sign
     of the pair, (p, q) -> (p - e, q - h*e) with e = p - h*q, and e does
@@ -95,17 +127,6 @@ def even_cf_expand(p: int, q: int) -> tuple[int, ...]:
     A run of more than ``sys.maxsize`` entries cannot be listed and raises
     ValueError naming its length.
     """
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"{p}/{q} is not in lowest terms")
-    if (p + q) % 2 == 0:
-        raise ValueError(
-            f"{p}/{q} has no even expansion (p and q have the same parity); "
-            "reduce with the shift/sign rules first"
-        )
-    if abs(p) <= abs(q):
-        raise ValueError(f"need |p| > |q|, got {p}/{q}")
     entries = []
     while q != 0:
         if q < 0:
@@ -182,8 +203,8 @@ def sigma(q: int, p: int, eps: int) -> int:
 
     The sign sum lists the expansion's entries, so a pair whose expansion
     holds a run of more than ``sys.maxsize`` entries raises ValueError from
-    ``even_cf_expand``.  Such pairs wait for a sign sum taken run by run,
-    without listing the entries.
+    the expansion kernel ``_even_cf``.  Such pairs wait for a sign sum
+    taken run by run, without listing the entries.
     """
     _check_eps(eps)
     if p == 0:
@@ -231,7 +252,8 @@ def _sigma(q: int, p: int, e: int) -> int:
 
 
 def _cf_sign_sum(p: int, q: int) -> int:
-    return sum(sgn(a) for a in even_cf_expand(p, q))
+    # _sigma hands over a coprime pair of opposite parity with p > q > 0
+    return sum(sgn(a) for a in _even_cf(p, q))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ Run from anywhere, naming the tree whose ``src/spindefect`` to import
 
     python3 tools/same_outputs.py [TREE]
 
-Each output line is ``family records sha256``.  Run it at two trees, for
-instance a change and its parent, and compare the lines: a family whose
-digest moved has a record that differs.  The random inputs are drawn from
-``random.Random`` seeded from ``SEED``, so both trees see the same ones.
-Standard library only.
+Each output line is ``family records raised sha256``: the number of
+records, how many of them hold a call that raised, and the digest.  Run it
+at two trees, for instance a change and its parent, and compare the lines:
+a family whose digest moved has a record that differs.  The random inputs
+are drawn from ``random.Random`` seeded from ``SEED``, so both trees see the
+same ones.  A family in which every record raised is taken for a broken
+recorder or a broken tree rather than a result, and the script exits 1
+after printing every line.  Standard library only.
 
 A plumbing record holds, for each tree, its rooted arrays, runs, odd
 vertices, inertia, Wu supports in order, each Wu vector's defect and the
@@ -56,6 +59,13 @@ def attempt(call):
         return call()
     except Exception as exc:  # noqa: BLE001 - every error is a recorded outcome
         return ("raised", type(exc).__name__, str(exc))
+
+
+def raised(record) -> bool:
+    """Whether a record holds an outcome of ``attempt`` that raised."""
+    if type(record) is tuple and record[:1] == ("raised",):
+        return True
+    return type(record) in (list, tuple) and any(map(raised, record))
 
 
 def tree_record(sd, make, validated=False):
@@ -445,6 +455,18 @@ FAMILIES = {
 }
 
 
+def record_family(sd, inputs, record, rng):
+    """(records, records that raised, sha256 hex digest) of one family."""
+    digest = hashlib.sha256()
+    count = failed = 0
+    for each in inputs(sd, rng):
+        rec = record(sd, each)
+        digest.update(repr(rec).encode() + b"\n")
+        count += 1
+        failed += raised(rec)
+    return count, failed, digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", nargs="?", default=str(Path(__file__).resolve().parent.parent),
@@ -454,14 +476,15 @@ def main(argv=None) -> int:
     # the modules by name: the package's own ``sigma`` is the function
     sd = types.SimpleNamespace(**{name: importlib.import_module(f"spindefect.{name}") for name in (
         "catalog", "cli", "obstruction", "plumbing", "seifert", "sigma")})
+    broken = []
     for k, (name, (inputs, record)) in enumerate(FAMILIES.items()):
-        rng = random.Random(SEED * 1000 + k)
-        digest = hashlib.sha256()
-        count = 0
-        for each in inputs(sd, rng):
-            digest.update(repr(record(sd, each)).encode() + b"\n")
-            count += 1
-        print(f"{name} {count} {digest.hexdigest()}", flush=True)
+        count, failed, digest = record_family(sd, inputs, record, random.Random(SEED * 1000 + k))
+        print(f"{name} {count} {failed} {digest}", flush=True)
+        if count and failed == count:
+            broken.append(name)
+    if broken:
+        print(f"every record raised in: {', '.join(broken)}", file=sys.stderr)
+        return 1
     return 0
 
 
