@@ -41,7 +41,7 @@ from .seifert import (
     reverse_orientation,
     spin_conditions_hold,
 )
-from .sigma import sigma
+from .sigma import _sigma, sigma
 
 __all__ = [
     "DeltaCaseId",
@@ -340,7 +340,10 @@ def delta_table(case: DeltaCaseId) -> int:
         if error is not None:
             raise ValueError(error)
         _, brange, _, addend = _D_ROWS[label]
-        return sigma(n, n + b, -1) if brange == "sum" else sigma(n, b, -1) + addend
+        # the domain check gives n >= 2 and gcd(n, b) = 1, so b != 0 and
+        # gcd(n, n + b) = 1, and a sum row has n + b > 0: both pairs are in
+        # the domain of the kernel _sigma
+        return _sigma(n, n + b, -1) if brange == "sum" else _sigma(n, b, -1) + addend
     row = _const_row(case.row, case.params.get("eps"))
     if row.family != case.family:
         raise ValueError(f"row ({case.row}) does not belong to {case.family}")

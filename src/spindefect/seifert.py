@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateEuler, NoAdmissibleRearrangement, NoSpinForm
-from .sigma import is_spin_sign_admissible, sgn, sigma
+from .sigma import _sigma, is_spin_sign_admissible, sgn, sigma
 
 __all__ = [
     "SeifertData",
@@ -279,7 +279,17 @@ class LensSpace:
 # the engine
 
 
-def _engine_value(pairs, cg, ch, u1, v1) -> int:
+def _engine_value(pairs, cg, ch, u1, v1, lens_defect=sigma) -> int:
+    """The engine's defect of an arranged presentation, given a1 v1 - b1 u1 = 1.
+
+    ``lens_defect`` evaluates the two lens pieces: the checked ``sigma``,
+    or its kernel ``_sigma`` when the pairs come from a ``SeifertData``.
+    Then both calls are inside the kernel's domain.  (q_split, p_split) is
+    (a2, b2) under [[b1, a1], [v1, u1]], of determinant -1, so it keeps
+    gcd(a2, b2) = 1, and (a3, b3) keeps the gcd 1 that the constructor
+    checked, under the arrangement's shift.  q_split != 0 and b3 != 0 by the
+    arrangement, and eps is +-1 by construction.
+    """
     (a1, b1), (a2, b2), (a3, b3) = pairs
     q_split = a1 * b2 + a2 * b1
     p_split = a2 * v1 + b2 * u1
@@ -291,7 +301,8 @@ def _engine_value(pairs, cg, ch, u1, v1) -> int:
     num = a1 * a2 * b3 + a3 * q_split
     if num == 0:
         raise DegenerateEuler("splitting produced a null section class")
-    return sgn(num) * sgn(q_split * b3) + sigma(p_split, q_split, eps) + sigma(a3, b3, -1)
+    return (sgn(num) * sgn(q_split * b3) + lens_defect(p_split, q_split, eps)
+            + lens_defect(a3, b3, -1))
 
 
 _OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))  # the other two fibers, in order
@@ -356,7 +367,10 @@ def delta_engine(s: SeifertData, c: SpinAssignment) -> int:
     # delta, so take u1 = -1/b1 mod a1 (pow raises if gcd(a1, b1) != 1)
     u1 = -pow(b1, -1, a1)
     v1 = (1 + b1 * u1) // a1
-    return _engine_value(pairs, cg, c.ch, u1, v1)
+    # only a SeifertData's pairs are known coprime; any other object with
+    # pairs takes the checked sigma, which names a non-coprime fiber
+    lens_defect = _sigma if isinstance(s, SeifertData) else sigma
+    return _engine_value(pairs, cg, c.ch, u1, v1, lens_defect)
 
 
 # ---------------------------------------------------------------------------

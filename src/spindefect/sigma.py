@@ -215,6 +215,15 @@ def sigma(q: int, p: int, eps: int) -> int:
 
 
 def _sigma(q: int, p: int, e: int) -> int:
+    """sigma(q, p, e) for arguments its caller has already checked.
+
+    Trusts p != 0, gcd(p, q) = 1 and e in (1, -1) without looking, as
+    ``_even_cf`` trusts its pair: ``sigma`` checks them at the public
+    entry, the engine gets them from ``SeifertData`` and its arrangement,
+    and a catalog D row from its domain check.  Outside that domain the
+    result means nothing (it may raise anything); ``sigma`` is the checked
+    entry.
+    """
     # Invariant: the answer is offset + sign * sigma(q, p, e) for the current
     # (q, p, e).  Only the reciprocity extension goes round the loop: it swaps
     # the pair once per step of an odd Euclidean chain, which can be long

@@ -1,7 +1,8 @@
 """Each fact on the ``delta --all-spin`` path is checked once, at a public entry.
 
 The private shortcuts trust what their callers have already established:
-``_even_cf`` trusts its pair, ``spin_conditions_hold`` trusts a labelling
+``_even_cf`` trusts its pair, ``_sigma`` trusts the engine's and the D
+rows' arguments, ``spin_conditions_hold`` trusts a labelling
 that ``spin_enumerate`` stamped for the very ``pairs`` tuple it is handed,
 the verdict kernel hands out shared fixed verdicts, ``mirror`` skips
 re-validation and ``plumbing_delta`` skips the sum on an empty support.
@@ -15,13 +16,15 @@ import importlib
 import itertools
 import math
 import pickle
+import random
+import types
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spindefect import plumbing
-from spindefect.catalog import classify, instantiate_case, iter_cases
+from spindefect import catalog, plumbing, seifert
+from spindefect.catalog import FAMILY_D, classify, delta, instantiate_case, iter_cases
 from spindefect.errors import NoSpinForm
 from spindefect.obstruction import (
     FourManifoldShape,
@@ -35,13 +38,17 @@ from spindefect.seifert import (
     LensSpace,
     SeifertData,
     SpinAssignment,
+    _euler_numerator,
     delta_engine,
+    permute_fibers,
+    reverse_orientation,
+    shift_move,
     spin_conditions_hold,
     spin_enumerate,
 )
 from spindefect.sigma import _even_cf, even_cf_expand, is_spin_sign_admissible, sigma
 
-from conftest import seifert_data
+from conftest import PLATONIC, seifert_data
 
 # the module: the package's own ``sigma`` is the function
 sigma_module = importlib.import_module("spindefect.sigma")
@@ -138,6 +145,66 @@ def test_internal_callers_meet_the_kernel_preconditions(monkeypatch):
             for d in spin_enumerate(shifted):
                 seifert_to_plumbing(shifted, d)
     assert len(callers) - from_sigma - from_lens > 3 * 1_000
+
+
+# --- the unchecked sigma kernel in the engine and the D rows --------------------
+
+
+def _presentations(s, c):
+    """(s, c) as given, reversed, with its fibers permuted, and shifted."""
+    yield s, c
+    yield reverse_orientation(s, c)
+    yield permute_fibers(s, c, (2, 0, 1))
+    yield shift_move(s, c, (2, -3, 1))
+
+
+def _random_platonic(rng, count):
+    spaces = []
+    while len(spaces) < count:
+        mults = rng.sample(rng.choice(PLATONIC), 3)
+        pairs = [(a, rng.choice([b for b in range(-40, 41) if math.gcd(a, b) == 1]))
+                 for a in mults]
+        if _euler_numerator(pairs):
+            spaces.append(SeifertData(pairs))
+    return spaces
+
+
+def test_engine_and_d_rows_meet_the_sigma_kernel_preconditions(monkeypatch, rng):
+    seen = []
+
+    def checked(q, p, e):
+        assert p != 0 and math.gcd(p, q) == 1 and e in (1, -1), (q, p, e)
+        seen.append((q, p, e))
+        return sigma(q, p, e)
+
+    monkeypatch.setattr(seifert, "_sigma", checked)
+    monkeypatch.setattr(catalog, "_sigma", checked)
+    structures = 0
+    d_rows = 0
+    for case in iter_cases(3, 14, 14):
+        d_rows += case.family == FAMILY_D
+        for s, c in _presentations(*instantiate_case(case)):
+            delta(s, c)  # the row value, checked against the engine
+            structures += 1
+    for s in _random_platonic(rng, 1_500):
+        for c in spin_enumerate(s):
+            delta(s, c)
+            structures += 1
+    # two lens pieces per engine call, and one D row for each presentation
+    # of a D case, besides the random spaces' D rows
+    assert len(seen) > 2 * structures + 4 * d_rows and structures > 6_000
+
+
+def test_an_engine_argument_that_is_not_seifert_data_takes_the_checked_sigma():
+    # an object with pairs is taken as it is, so nothing vouches for its gcds
+    loose = types.SimpleNamespace(pairs=((2, 1), (3, 1), (4, 2)))
+    with pytest.raises(ValueError) as exc:
+        delta_engine(loose, SpinAssignment((1, 1, 0)))
+    assert type(exc.value) is ValueError and str(exc.value) == "q = 4 and p = 2 are not coprime"
+    # on coprime pairs it gives the SeifertData's value
+    for s in _random_platonic(random.Random(7), 50):
+        for c in spin_enumerate(s):
+            assert delta_engine(types.SimpleNamespace(pairs=s.pairs), c) == delta_engine(s, c)
 
 
 # --- labellings stamped by spin_enumerate -------------------------------------

@@ -406,12 +406,15 @@ _seifert = st.one_of(
 @st.composite
 def _seifert_with_spin(draw):
     # spherical data with one of its spin structures, so the computing paths
-    # are reached as often as the error paths
+    # are reached as often as the error paths; text that does not parse gets
+    # drawn labels, which every command with a space reads, so that its
+    # parser is reached (seifert-to-plumbing and cobordism refuse --all-spin
+    # in argparse, before any space is read)
     text = draw(_seifert)
     try:
         structures = spin_enumerate(parse_seifert(text))
     except ValueError:
-        return ["--seifert", text, "--all-spin"]
+        return ["--seifert", text, "--spin", draw(_spin)]
     c = draw(st.sampled_from(structures))
     return ["--seifert", text, "--spin", ",".join(map(str, c.cg))]
 

@@ -1061,6 +1061,41 @@ def test_inertia_is_computed_once_per_graph(monkeypatch):
     assert not any(isinstance(v, functools.cached_property) for v in vars(PlumbingGraph).values())
 
 
+def test_every_derived_name_is_a_descriptor_on_the_class():
+    # no failed-lookup fallback: each name in the table has its own descriptor
+    assert not hasattr(PlumbingGraph, "__getattr__")
+    for name in plumbing._DERIVE:
+        served = vars(PlumbingGraph)[name]
+        assert isinstance(served, plumbing._Derived) and served.name == name
+        assert getattr(PlumbingGraph, name) is served
+
+
+def test_a_derived_attribute_is_derived_once_and_stored(monkeypatch):
+    calls = Counter()
+    for name, real in plumbing._DERIVE.items():
+        def counted(g, name=name, real=real):
+            calls[name] += 1
+            return real(g)
+        monkeypatch.setitem(plumbing._DERIVE, name, counted)
+    arms = [(-2, -2, -2, -2), (3,), (-2, 1)]
+    h = star_graph(0, arms)
+    for make, underived in (
+        # a builder stores only its rooted arrays and runs
+        (lambda: star_graph(0, arms), {"vertices", "edges", "_weight", "_adj", "_odd", "_inertia"}),
+        # the validating constructor stores its fields, maps and search
+        (lambda: PlumbingGraph(h.vertices, h.edges), {"_odd", "_inertia"}),
+    ):
+        assert set(plumbing._DERIVE) - vars(make()).keys() == underived
+        for name in underived:
+            g = make()
+            calls.clear()
+            value = getattr(g, name)
+            assert calls[name] == 1 and vars(g)[name] is value
+            # the instance dict wins over the descriptor from now on
+            calls.clear()
+            assert getattr(g, name) is value and not calls
+
+
 def test_json_roundtrip():
     g = star_graph(-2, [(-2,), (-2, -2)])
     w = WuVector()
