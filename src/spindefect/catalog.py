@@ -41,7 +41,7 @@ from .seifert import (
     reverse_orientation,
     spin_conditions_hold,
 )
-from .sigma import _sigma, sigma
+from .sigma import _sigma
 
 __all__ = [
     "DeltaCaseId",
@@ -330,8 +330,7 @@ def delta_table(case: DeltaCaseId) -> int:
         p, q = case.params["p"], case.params["q"]
         if not p > q > 0:
             raise ValueError(f"lens row needs p > q > 0, got ({p}, {q})")
-        lens = LensSpace(p, q, case.params["eps"])
-        return sigma(lens.q, lens.p, lens.eps)
+        return LensSpace(p, q, case.params["eps"]).defect()
     if case.family == FAMILY_D:
         label, n, b = case.row, case.params["n"], case.params["b"]
         if label not in _D_ROWS:

@@ -132,17 +132,10 @@ def _case_payload(case: DeltaCaseId) -> dict:
 
 def cmd_sigma(args) -> int:
     val = sigma(args.q, args.p, args.eps)
-    admissible = is_spin_sign_admissible(args.q, args.p, args.eps)
     lines = [f"sigma({args.q},{args.p},{args.eps:+d}) = {val}"]
-    if not admissible:
-        lines.append(
-            "note: this sign does not label a spin structure "
-            "(value from the reciprocity extension)"
-        )
     _emit(args, lines, {
         "input": {"q": args.q, "p": args.p, "eps": args.eps},
         "sigma": val,
-        "spin_admissible": admissible,
     })
     return EXIT_OK
 

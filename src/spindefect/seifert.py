@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateEuler, NoAdmissibleRearrangement, NoSpinForm
-from .sigma import _sigma, is_spin_sign_admissible, sgn, sigma
+from .sigma import _check_spin_sign, _sigma, sgn, sigma
 
 __all__ = [
     "SeifertData",
@@ -263,16 +263,14 @@ class LensSpace:
             raise ValueError("eps must be +1 or -1")
         if p < 0:
             p, q = -p, -q  # L(p, q) = L(|p|, sgn(p) q)
-        if not is_spin_sign_admissible(q, p, eps):
-            raise NoSpinForm(
-                f"L({p}, {q}) with p odd has only the eps = {-eps:+d} structure"
-            )
+        _check_spin_sign(q, p, eps)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "eps", eps)
 
     def defect(self) -> int:
-        return sigma(self.q, self.p, self.eps)
+        # the constructor checked every precondition of the kernel
+        return _sigma(self.q, self.p, self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +286,11 @@ def _engine_value(pairs, cg, ch, u1, v1, lens_defect=sigma) -> int:
     (a2, b2) under [[b1, a1], [v1, u1]], of determinant -1, so it keeps
     gcd(a2, b2) = 1, and (a3, b3) keeps the gcd 1 that the constructor
     checked, under the arrangement's shift.  q_split != 0 and b3 != 0 by the
-    arrangement, and eps is +-1 by construction.
+    arrangement, and eps is +-1 by construction.  Both signs label spin
+    structures: eps is the meridian label the spin structure induces on the
+    split piece, and the third fiber is labelled 0 with c(h) = 0 (some a_i
+    is even), so its spin condition makes a3 b3 even, and eps = -1 labels
+    one on L(b3, a3) even when b3 is odd.
     """
     (a1, b1), (a2, b2), (a3, b3) = pairs
     q_split = a1 * b2 + a2 * b1

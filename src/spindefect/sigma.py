@@ -19,13 +19,10 @@ Three independent evaluations are provided:
   |a_i| >= 2.  When p + q is odd, eps = -1 and |p| > |q|,
   sigma(q, p, -1) = -sum_i sgn(a_i).
 
-When p is odd only eps = (-1)**(q-1) labels an honest spin structure.  For
-the other sign the trig sum is a non-integral rational (for example the
-(q, p, eps) = (1, 3, -1) sum equals 2/9), so ``sigma_trig`` reports a
-precision failure there.  ``sigma`` stays total: on those arguments it is
-defined by extending the reciprocity rule to same-parity pairs, which is the
-unique Euclidean-terminating extension compatible with the shift and sign
-rules.
+When p is odd only eps = (-1)**(q-1) labels a spin structure.  For the
+other sign the trig sum is a non-integral rational (for example the
+(q, p, eps) = (1, 3, -1) sum equals 2/9): ``sigma`` refuses that sign, and
+``sigma_trig`` reports a precision failure there.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import PrecisionError
+from .errors import NoSpinForm, PrecisionError
 
 __all__ = [
     "even_cf_expand",
@@ -69,6 +66,28 @@ def is_spin_sign_admissible(q: int, p: int, eps: int) -> bool:
     if p % 2 == 0:
         return True
     return eps == (1 if q % 2 == 1 else -1)
+
+
+def _check_spin_sign(q: int, p: int, eps: int) -> None:
+    """Raise NoSpinForm unless eps labels a spin structure on L(p, q).
+
+    The message names L(|p|, sgn(p) q) and the admissible sign.  The rule
+    is ``is_spin_sign_admissible``'s, written out for an eps the caller has
+    checked, so that ``sigma`` does not check eps twice.
+    """
+    if p % 2 == 1 and eps != (1 if q % 2 == 1 else -1):
+        if p < 0:
+            p, q = -p, -q
+        raise NoSpinForm(f"L({p}, {q}) with p odd has only the eps = {-eps:+d} structure")
+
+
+def _check_args(q: int, p: int, eps: int) -> None:
+    """The checks ``sigma`` and ``sigma_trig`` share: eps, p != 0 and the gcd."""
+    _check_eps(eps)
+    if p == 0:
+        raise ValueError("p must be nonzero")
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"q = {q} and p = {p} are not coprime")
 
 
 # ---------------------------------------------------------------------------
@@ -188,76 +207,53 @@ def cf_eval(entries) -> Fraction:
 def sigma(q: int, p: int, eps: int) -> int:
     """The spin defect of L(p, q) with spin structure labelled eps, exactly.
 
-    Total on coprime pairs with p != 0.  Reductions applied, in order: make
-    p positive and q positive (each negation flips the overall sign), shift
-    q modulo 2p (eps-preserving) and reflect into 0 < q < p, then:
+    Defined on coprime pairs with p != 0 and a sign eps that labels a spin
+    structure; for p odd the other sign raises NoSpinForm, with the message
+    ``LensSpace`` gives.  Reductions applied, in order: make p positive and
+    q positive (each negation flips the overall sign), shift q modulo 2p
+    (eps-preserving) and reflect into 0 < q < p, then:
 
-    * q, p of opposite parity, eps = -1: read off the even continued
+    * eps = -1: q and p have opposite parity; read off the even continued
       fraction of p/q;
-    * opposite parity, eps = +1: shift q by p (flipping eps) and, when the
-      shifted pair has opposite parity, swap via reciprocity
-      sigma(q', p, -1) = -sgn(p q') - sigma(p, q', -1) before expanding;
-    * both odd: one eps reduces to the previous bullet; the other never
-      meets the base rules and is evaluated by extending reciprocity to
-      same-parity pairs (see the module docstring).
+    * eps = +1: shift q by p (flipping eps) and swap the pair (q + p, p),
+      of opposite parity, via reciprocity
+      sigma(q', p, -1) = -sgn(p q') - sigma(p, q', -1) before expanding.
 
     The sign sum lists the expansion's entries, so a pair whose expansion
     holds a run of more than ``sys.maxsize`` entries raises ValueError from
     the expansion kernel ``_even_cf``.  Such pairs wait for a sign sum
     taken run by run, without listing the entries.
     """
-    _check_eps(eps)
-    if p == 0:
-        raise ValueError("p must be nonzero")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"q = {q} and p = {p} are not coprime")
+    _check_args(q, p, eps)
+    _check_spin_sign(q, p, eps)
     return _sigma(q, p, eps)
 
 
 def _sigma(q: int, p: int, e: int) -> int:
     """sigma(q, p, e) for arguments its caller has already checked.
 
-    Trusts p != 0, gcd(p, q) = 1 and e in (1, -1) without looking, as
-    ``_even_cf`` trusts its pair: ``sigma`` checks them at the public
-    entry, the engine gets them from ``SeifertData`` and its arrangement,
-    and a catalog D row from its domain check.  Outside that domain the
-    result means nothing (it may raise anything); ``sigma`` is the checked
-    entry.
+    Trusts p != 0, gcd(p, q) = 1, e in (1, -1) and e a spin sign without
+    looking, as ``_even_cf`` trusts its pair: ``sigma`` checks them at the
+    public entry, the engine gets them from ``SeifertData`` and its
+    arrangement, and a catalog D row from its domain check.  Outside that
+    domain the result means nothing (it may raise anything); ``sigma`` is
+    the checked entry.
     """
-    # Invariant: the answer is offset + sign * sigma(q, p, e) for the current
-    # (q, p, e).  Only the reciprocity extension goes round the loop: it swaps
-    # the pair once per step of an odd Euclidean chain, which can be long
-    # (p, p - 2, ...), so it must not recurse.
-    offset, sign = 0, 1
+    s = 1
     if p < 0:
-        p, sign = -p, -1
-    while True:
-        if p == 1:
-            return offset
-        s = sign
-        if q < 0:
-            q, s = -q, -s
-        q %= 2 * p  # even multiple of p: eps unchanged
-        if q > p:
-            q, s = 2 * p - q, -s  # q -> -q mod 2p, another sign flip
-        # now 0 < q < p and the pair is still coprime
-        if (p + q) % 2 == 1:
-            if e == -1:
-                return offset - s * _cf_sign_sum(p, q)
-            if p % 2 == 0:
-                # shift q by p (eps -> -1), then reciprocity + expansion of (q+p)/p
-                return offset + s * (_cf_sign_sum(q + p, p) - 1)
-            # p odd, q even, eps = +1 is not a spin sign; shift into the
-            # same-parity pocket and use the reciprocity extension there.
-            q, s = p - q, -s
-        elif e == 1:
-            # both odd; one shift lands on (q+p even, eps=-1) with q+p > p,
-            # so reciprocity applies directly
-            return offset + s * (_cf_sign_sum(q + p, p) - 1)
-        # both odd, 0 < q < p, eps = -1: not reachable by the defining rules;
-        # extend reciprocity sigma(q,p,-1) + sigma(p,q,-1) = -1 as the definition
-        offset, sign = offset - s, -s
-        q, p, e = p, q, -1
+        p, s = -p, -1
+    if p == 1:
+        return 0
+    if q < 0:
+        q, s = -q, -s
+    q %= 2 * p  # even multiple of p: eps unchanged
+    if q > p:
+        q, s = 2 * p - q, -s  # q -> -q mod 2p, another sign flip
+    # now 0 < q < p and still coprime; on a spin sign, eps = -1 means that
+    # q and p have opposite parity, and eps = +1 that q + p and p do
+    if e == -1:
+        return -s * _cf_sign_sum(p, q)
+    return s * (_cf_sign_sum(q + p, p) - 1)
 
 
 def _cf_sign_sum(p: int, q: int) -> int:
@@ -287,11 +283,7 @@ def sigma_trig(q: int, p: int, eps: int, tol: float = SIGMA_TRIG_TOL) -> TrigSum
     spin structure (p odd, eps = (-1)**q), where the sum is a non-integral
     rational.
     """
-    _check_eps(eps)
-    if p == 0:
-        raise ValueError("p must be nonzero")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"q = {q} and p = {p} are not coprime")
+    _check_args(q, p, eps)
     if p < 0:
         q, p = -q, -p
     terms = []

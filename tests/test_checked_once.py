@@ -120,12 +120,13 @@ def test_internal_callers_meet_the_kernel_preconditions(monkeypatch):
 
     monkeypatch.setattr(sigma_module, "_even_cf", checked)
     monkeypatch.setattr(plumbing, "_even_cf", checked)
-    # _sigma's reductions, on every sign, parity and eps
+    # _sigma's reductions, on every sign, parity and spin sign
     for p in range(-50, 51):
         for q in range(-2 * abs(p) - 1, 2 * abs(p) + 2):
             if p and math.gcd(p, q) == 1:
                 for eps in (1, -1):
-                    sigma(q, p, eps)
+                    if is_spin_sign_admissible(q, p, eps):
+                        sigma(q, p, eps)
     from_sigma = len(callers)
     assert from_sigma > 8_000
     # the lens chains, on every spin structure
@@ -174,6 +175,7 @@ def test_engine_and_d_rows_meet_the_sigma_kernel_preconditions(monkeypatch, rng)
 
     def checked(q, p, e):
         assert p != 0 and math.gcd(p, q) == 1 and e in (1, -1), (q, p, e)
+        assert is_spin_sign_admissible(q, p, e), (q, p, e)
         seen.append((q, p, e))
         return sigma(q, p, e)
 

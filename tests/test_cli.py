@@ -51,18 +51,10 @@ def test_rp2_verbatim(capsys):
     assert "forces e in [-2, 2]" in out
 
 
-def test_sigma_inadmissible_note(capsys):
-    rc, out, _ = run(capsys, "sigma", "1", "3", "--eps", "-1")
-    assert rc == 0
-    assert "sigma(1,3,-1) = -1" in out
-    assert "does not label a spin structure" in out
-
-
 def test_sigma_json(capsys):
     rc, doc, _ = run_json(capsys, "sigma", "3", "4", "--eps", "+1")
     assert rc == 0
-    assert doc == {"input": {"q": 3, "p": 4, "eps": 1},
-                   "sigma": 1, "spin_admissible": True}
+    assert doc == {"input": {"q": 3, "p": 4, "eps": 1}, "sigma": 1}
 
 
 def test_evencf(capsys):
@@ -127,10 +119,15 @@ def test_a_run_too_long_to_list_exits_2(capsys, argv):
 
 
 def test_inadmissible_lens_sign_exits_2_with_the_admissible_one(capsys):
-    rc, out, err = run(capsys, "delta", "--lens", "3", "-2", "--eps", "1")
-    assert rc == 2
-    assert err == "error: L(3, -2) with p odd has only the eps = -1 structure\n"
-    assert out == ""
+    for argv, message in [
+        (("delta", "--lens", "3", "-2", "--eps", "1"),
+         "L(3, -2) with p odd has only the eps = -1 structure"),
+        (("sigma", "1", "3", "--eps", "-1"), "L(3, 1) with p odd has only the eps = +1 structure"),
+    ]:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
 
 
 _POINCARE = "(2,1),(3,1),(5,-4)"

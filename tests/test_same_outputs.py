@@ -49,7 +49,7 @@ def test_recorder_exits_1_when_every_record_of_a_family_raised(monkeypatch, caps
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the tree first
 
     def fine(sd, x):
-        return [x, rec.attempt(lambda: sd.sigma.sigma(x + 1, 7, -1))]
+        return [x, rec.attempt(lambda: sd.sigma.sigma(2 * x + 1, 8, -1))]
 
     def broken(sd, x):
         return [x, rec.attempt(lambda: sd.sigma(x + 1, 7, -1))]  # the module is not callable
