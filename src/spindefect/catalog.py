@@ -37,6 +37,7 @@ from .seifert import (
     LensSpace,
     SeifertData,
     SpinAssignment,
+    _pairs_of,
     delta_engine,
     reverse_orientation,
     spin_conditions_hold,
@@ -236,8 +237,8 @@ def classify(s: SeifertData, c: SpinAssignment) -> DeltaCaseId:
     Raises UnrecognizedForm when the multiplicities are not spherical and
     NoSpinForm when the labels violate the spin constraints.
     """
-    pairs = getattr(s, "pairs", s)  # a LensSpace has none: len() raises TypeError
-    if len(pairs) != 3 or not s.is_spherical_candidate():
+    pairs = _pairs_of(s)
+    if not s.is_spherical_candidate():  # which implies three fibers
         raise UnrecognizedForm(
             f"{s.pairs} is not a three-fiber spherical form; cannot classify"
         )
@@ -356,14 +357,15 @@ def delta_table(case: DeltaCaseId) -> int:
 def delta(s, c=None) -> int:
     """delta(S, c) for a lens space or a three-fiber spherical form.
 
-    Lens spaces go straight to the lens defect.  Three-fiber data is
+    A lens space, whose structure is its eps, takes no labels and goes
+    straight to the lens defect.  Three-fiber data is
     classified onto a catalog row, and the row value is cross-checked
     against the independent splitting engine; a mismatch means a bug and
     raises InternalDisagreement.
     """
     if isinstance(s, LensSpace):
-        if c is not None and c != s.eps:
-            s = LensSpace(s.p, s.q, c)
+        if c is not None:
+            raise TypeError("a LensSpace carries its structure as eps and takes no labels")
         return s.defect()
     if not isinstance(s, SeifertData):
         raise TypeError(f"expected SeifertData or LensSpace, got {type(s).__name__}")

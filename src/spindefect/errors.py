@@ -46,8 +46,9 @@ class NoSpinForm(SpinDefectError, ValueError):
 
 
 class NoSolution(SpinDefectError):
-    """A GF(2) linear system had no solution.  Cannot happen for intersection
-    forms of closed tree plumbings; kept as a guard for corrupted input."""
+    """A tree's Wu system M x = diag(M) over GF(2) has more solutions than
+    the enumeration lists: its kernel dimension exceeds the cap.  The
+    system itself is always solvable."""
 
 
 class InternalDisagreement(SpinDefectError):

@@ -201,7 +201,8 @@ def cobordism_order_certificate(s, c=None) -> CobordismCertificate:
     multiple, so a Z_2 homology sphere with delta != 0 has infinite order in
     the Z_2-homology cobordism group.  The certificate records delta and
     whether the order-1 first homology condition actually holds (the
-    infinite-order conclusion needs it).
+    infinite-order conclusion needs it).  s and c are ``catalog.delta``'s:
+    a lens space takes no labels.
     """
     value = catalog.delta(s, c)
     if isinstance(s, LensSpace):

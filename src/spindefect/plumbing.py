@@ -743,7 +743,7 @@ def seifert_to_plumbing(s, c=None) -> tuple[PlumbingGraph, WuVector]:
     """
     if isinstance(s, LensSpace):
         return _lens_to_plumbing(s)
-    if not isinstance(s, SeifertData) or len(s.pairs) != 3 or not s.is_spherical_candidate():
+    if not isinstance(s, SeifertData) or not s.is_spherical_candidate():
         raise ValueError("need a LensSpace or three-fiber spherical SeifertData")
     if not isinstance(c, SpinAssignment) or not spin_conditions_hold(s, c):
         raise NoSpinForm(f"labels are not a spin structure on {s.pairs}")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateEuler, NoAdmissibleRearrangement, NoSpinForm
-from .sigma import _check_spin_sign, _sigma, sgn, sigma
+from .sigma import _check_args, _check_spin_sign, _sigma, sgn
 
 __all__ = [
     "SeifertData",
@@ -144,6 +144,13 @@ class SpinAssignment:
         object.__setattr__(self, "ch", int(ch) % 2)
 
 
+def _pairs_of(s) -> tuple[tuple[int, int], ...]:
+    """``s.pairs``, refusing anything but the type whose constructor checked them."""
+    if not isinstance(s, SeifertData):
+        raise TypeError(f"expected SeifertData, got {type(s).__name__}")
+    return s.pairs
+
+
 def spin_conditions_hold(s: SeifertData, c: SpinAssignment) -> bool:
     """Whether the labels c satisfy the spin constraints on s.
 
@@ -154,10 +161,8 @@ def spin_conditions_hold(s: SeifertData, c: SpinAssignment) -> bool:
     or from a move, and a stamped labelling handed another space all take
     the full check.
     """
-    # the checks read the pairs; an argument without them (a LensSpace) is
-    # taken as it is, so len() and iteration still raise TypeError on it
-    pairs = getattr(s, "pairs", s)
-    if c._pairs is pairs and pairs is not None:
+    pairs = _pairs_of(s)
+    if c._pairs is pairs:
         return True
     cg, ch = c.cg, c.ch
     if len(cg) != len(pairs):
@@ -175,19 +180,18 @@ def spin_enumerate(s: SeifertData) -> list[SpinAssignment]:
     c(g_i) = b_i (a_i - c(h)) mod 2, while an even a_i (so b_i is odd) needs
     c(h) = 0 and leaves c(g_i) free.  Of those combinations, in
     ``itertools.product`` order, the ones with an even label sum are kept.
-    A space with some even multiplicity pins c(h) = 0; an all-odd space can
-    admit c(h) = 1 labellings too.  Spherical spaces always have a 2-fiber,
-    so there the list never contains ch = 1.  The bits and c(h) are already
-    0/1 ints, so each labelling is made directly, without the constructor's
-    normalization.
+    A space with some even multiplicity pins c(h) = 0, and that fiber's free
+    bit fixes the sum; an all-odd space has c(h) = 1, where every b_i (a_i - 1)
+    is even, and can have c(h) = 0 too.  So the list is never empty, and on a
+    spherical space, which has a 2-fiber, it never contains ch = 1.  The bits
+    and c(h) are already 0/1 ints, so each labelling is made directly,
+    without the constructor's normalization.
 
-    Each labelling of a ``SeifertData`` is stamped with its ``pairs`` tuple,
-    which lets ``spin_conditions_hold`` skip re-checking it on that same
-    space (the engine, ``classify`` and ``seifert_to_plumbing`` each ask).
+    Each labelling is stamped with ``s.pairs``, which lets
+    ``spin_conditions_hold`` skip re-checking it on that same space (the
+    engine, ``classify`` and ``seifert_to_plumbing`` each ask).
     """
-    pairs = getattr(s, "pairs", s)  # see spin_conditions_hold
-    # only a SeifertData's pairs are known immutable and valid
-    stamp = pairs if isinstance(s, SeifertData) else None
+    pairs = _pairs_of(s)
     out = []
     for ch in (0, 1):
         choices = []
@@ -204,10 +208,8 @@ def spin_enumerate(s: SeifertData) -> list[SpinAssignment]:
                     c = object.__new__(SpinAssignment)
                     object.__setattr__(c, "cg", bits)
                     object.__setattr__(c, "ch", ch)
-                    object.__setattr__(c, "_pairs", stamp)
+                    object.__setattr__(c, "_pairs", pairs)
                     out.append(c)
-    if not out:
-        raise NoSpinForm(f"{s.pairs} admits no spin labelling")
     return out
 
 
@@ -255,12 +257,7 @@ class LensSpace:
 
     def __init__(self, p, q, eps):
         p, q, eps = int(p), int(q), int(eps)
-        if p == 0:
-            raise ValueError("p must be nonzero")
-        if math.gcd(p, q) != 1:
-            raise ValueError(f"L({p}, {q}): parameters not coprime")
-        if eps not in (1, -1):
-            raise ValueError("eps must be +1 or -1")
+        _check_args(q, p, eps)  # sigma's own argument rules and wording
         if p < 0:
             p, q = -p, -q  # L(p, q) = L(|p|, sgn(p) q)
         _check_spin_sign(q, p, eps)
@@ -277,12 +274,11 @@ class LensSpace:
 # the engine
 
 
-def _engine_value(pairs, cg, ch, u1, v1, lens_defect=sigma) -> int:
+def _engine_value(pairs, cg, ch, u1, v1) -> int:
     """The engine's defect of an arranged presentation, given a1 v1 - b1 u1 = 1.
 
-    ``lens_defect`` evaluates the two lens pieces: the checked ``sigma``,
-    or its kernel ``_sigma`` when the pairs come from a ``SeifertData``.
-    Then both calls are inside the kernel's domain.  (q_split, p_split) is
+    Both lens pieces go to the kernel ``_sigma``, and both are inside its
+    domain: the pairs come from a ``SeifertData``.  (q_split, p_split) is
     (a2, b2) under [[b1, a1], [v1, u1]], of determinant -1, so it keeps
     gcd(a2, b2) = 1, and (a3, b3) keeps the gcd 1 that the constructor
     checked, under the arrangement's shift.  q_split != 0 and b3 != 0 by the
@@ -303,8 +299,7 @@ def _engine_value(pairs, cg, ch, u1, v1, lens_defect=sigma) -> int:
     num = a1 * a2 * b3 + a3 * q_split
     if num == 0:
         raise DegenerateEuler("splitting produced a null section class")
-    return (sgn(num) * sgn(q_split * b3) + lens_defect(p_split, q_split, eps)
-            + lens_defect(a3, b3, -1))
+    return sgn(num) * sgn(q_split * b3) + _sigma(p_split, q_split, eps) + _sigma(a3, b3, -1)
 
 
 _OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))  # the other two fibers, in order
@@ -351,7 +346,7 @@ def delta_engine(s: SeifertData, c: SpinAssignment) -> int:
     NoAdmissibleRearrangement when every multiplicity is odd and
     NoSpinForm when the labels are not a spin structure.
     """
-    pairs = getattr(s, "pairs", s)  # see spin_conditions_hold
+    pairs = _pairs_of(s)
     if len(pairs) != 3:
         raise ValueError("the splitting engine needs exactly three fiber pairs")
     if len(c.cg) != 3:
@@ -369,10 +364,7 @@ def delta_engine(s: SeifertData, c: SpinAssignment) -> int:
     # delta, so take u1 = -1/b1 mod a1 (pow raises if gcd(a1, b1) != 1)
     u1 = -pow(b1, -1, a1)
     v1 = (1 + b1 * u1) // a1
-    # only a SeifertData's pairs are known coprime; any other object with
-    # pairs takes the checked sigma, which names a non-coprime fiber
-    lens_defect = _sigma if isinstance(s, SeifertData) else sigma
-    return _engine_value(pairs, cg, c.ch, u1, v1, lens_defect)
+    return _engine_value(pairs, cg, c.ch, u1, v1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import types
 from fractions import Fraction
 
 import pytest
@@ -188,9 +189,11 @@ def test_lens_rows_and_dispatch():
     case = DeltaCaseId(FAMILY_LENS, "lens", {"p": 4, "q": 3, "eps": 1})
     assert delta_table(case) == sigma(3, 4, 1) == 1
     assert delta(LensSpace(4, 3, 1)) == 1
-    assert delta(LensSpace(4, 3, -1), -1) == sigma(3, 4, -1)
-    # eps override re-labels the structure
-    assert delta(LensSpace(4, 3, 1), -1) == sigma(3, 4, -1)
+    assert delta(LensSpace(4, 3, -1)) == sigma(3, 4, -1)
+    # the structure is the lens space's eps: labels beside it are refused
+    for c in (-1, 1, SpinAssignment((0, 1, 1))):
+        with pytest.raises(TypeError, match="takes no labels"):
+            delta(LensSpace(4, 3, 1), c)
     with pytest.raises(ValueError):
         delta_table(DeltaCaseId(FAMILY_LENS, "lens", {"p": 3, "q": 4, "eps": 1}))
 
@@ -269,24 +272,31 @@ _GUARD_INPUTS = {
     "two fibers": (SeifertData([(2, 1), (3, 1)]), SpinAssignment((1, 1))),
     "wrong length": (_S, SpinAssignment((0, 1))),
     "not spin": (_S, SpinAssignment((1, 1, 1))),
+    # the pairs of a SeifertData without the type that checked them
+    "bare pairs": (_S.pairs, SpinAssignment((1, 1, 0))),
+    "namespace": (types.SimpleNamespace(pairs=_S.pairs), SpinAssignment((1, 1, 0))),
+    "none": (None, SpinAssignment(())),
 }
 def _spin_enumerate_of(s, c):
     return spin_enumerate(s)
 
 
-_NO_LEN = (TypeError, "object of type 'LensSpace' has no len()")
+def _not_seifert(name):
+    return TypeError, f"expected SeifertData, got {name}"
+
+
 _WRONG_LENGTH = (ValueError, "label count does not match fiber count")
 _NOT_SPIN = (NoSpinForm, "labels (1, 1, 1);0 are not a spin structure on "
                          "((2, 1), (3, 1), (5, -4))")
 
 
 @pytest.mark.parametrize("f, given, expected", [
-    (classify, "lens", _NO_LEN),
+    (classify, "lens", _not_seifert("LensSpace")),
     (classify, "two fibers", (UnrecognizedForm, "((2, 1), (3, 1)) is not a "
                               "three-fiber spherical form; cannot classify")),
     (classify, "wrong length", _WRONG_LENGTH),
     (classify, "not spin", _NOT_SPIN),
-    (delta_engine, "lens", _NO_LEN),
+    (delta_engine, "lens", _not_seifert("LensSpace")),
     (delta_engine, "two fibers", (ValueError, "the splitting engine needs exactly "
                                   "three fiber pairs")),
     (delta_engine, "wrong length", _WRONG_LENGTH),
@@ -296,9 +306,13 @@ _NOT_SPIN = (NoSpinForm, "labels (1, 1, 1);0 are not a spin structure on "
     (seifert_to_plumbing, "wrong length", _WRONG_LENGTH),
     (seifert_to_plumbing, "not spin", (NoSpinForm, "labels are not a spin "
                                        "structure on ((2, 1), (3, 1), (5, -4))")),
-    (spin_conditions_hold, "lens", _NO_LEN),
+    (spin_conditions_hold, "lens", _not_seifert("LensSpace")),
     (spin_conditions_hold, "wrong length", _WRONG_LENGTH),
-    (_spin_enumerate_of, "lens", (TypeError, "'LensSpace' object is not iterable")),
+    (_spin_enumerate_of, "lens", _not_seifert("LensSpace")),
+    *((f, given, _not_seifert(name))
+      for given, name in [("bare pairs", "tuple"), ("namespace", "SimpleNamespace")]
+      for f in (classify, delta_engine, spin_conditions_hold, _spin_enumerate_of)),
+    (spin_conditions_hold, "none", _not_seifert("NoneType")),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_entry_guards_keep_their_errors(f, given, expected):
     assert _outcome(f, *_GUARD_INPUTS[given]) == expected

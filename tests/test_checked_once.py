@@ -1,9 +1,10 @@
 """Each fact on the ``delta --all-spin`` path is checked once, at a public entry.
 
 The private shortcuts trust what their callers have already established:
-``_even_cf`` trusts its pair, ``_sigma`` trusts the engine's and the D
-rows' arguments, ``spin_conditions_hold`` trusts a labelling
-that ``spin_enumerate`` stamped for the very ``pairs`` tuple it is handed,
+``_even_cf`` trusts its pair, ``_sigma`` trusts the engine's arguments,
+which always come from a ``SeifertData``, and the D rows',
+``spin_conditions_hold`` trusts a labelling that ``spin_enumerate``
+stamped for the very ``pairs`` tuple of the ``SeifertData`` it is handed,
 the verdict kernel hands out shared fixed verdicts, ``mirror`` skips
 re-validation and ``plumbing_delta`` skips the sum on an empty support.
 These tests pin each shortcut to the checked computation it replaces, and
@@ -16,8 +17,6 @@ import importlib
 import itertools
 import math
 import pickle
-import random
-import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -197,18 +196,6 @@ def test_engine_and_d_rows_meet_the_sigma_kernel_preconditions(monkeypatch, rng)
     assert len(seen) > 2 * structures + 4 * d_rows and structures > 6_000
 
 
-def test_an_engine_argument_that_is_not_seifert_data_takes_the_checked_sigma():
-    # an object with pairs is taken as it is, so nothing vouches for its gcds
-    loose = types.SimpleNamespace(pairs=((2, 1), (3, 1), (4, 2)))
-    with pytest.raises(ValueError) as exc:
-        delta_engine(loose, SpinAssignment((1, 1, 0)))
-    assert type(exc.value) is ValueError and str(exc.value) == "q = 4 and p = 2 are not coprime"
-    # on coprime pairs it gives the SeifertData's value
-    for s in _random_platonic(random.Random(7), 50):
-        for c in spin_enumerate(s):
-            assert delta_engine(types.SimpleNamespace(pairs=s.pairs), c) == delta_engine(s, c)
-
-
 # --- labellings stamped by spin_enumerate -------------------------------------
 
 
@@ -227,10 +214,8 @@ def _catalog_spaces():
 @settings(max_examples=300, deadline=None)
 @given(seifert_data())
 def test_every_stamped_labelling_passes_the_full_check(s):
-    try:
-        labellings = spin_enumerate(s)
-    except NoSpinForm:
-        return
+    labellings = spin_enumerate(s)
+    assert labellings  # every valid space is spin
     for c in labellings:
         assert c._pairs is s.pairs
         assert c == _unstamped(c) and hash(c) == hash(_unstamped(c))
@@ -303,15 +288,6 @@ def test_a_stamped_labelling_handed_another_space_takes_the_full_check():
     for f in (classify, delta_engine, seifert_to_plumbing):
         with pytest.raises(NoSpinForm):
             f(other, c)
-
-
-def test_only_a_seifert_data_stamps():
-    # bare pairs may be a mutable list, so nothing stamped for them is trusted
-    for c in spin_enumerate(_POINCARE.pairs):
-        assert c._pairs is None
-    # an unstamped labelling never matches an argument without pairs
-    with pytest.raises(TypeError):
-        spin_conditions_hold(None, SpinAssignment(()))
 
 
 # --- shared verdicts and the mirrored shape -----------------------------------

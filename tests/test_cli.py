@@ -89,11 +89,15 @@ def test_delta_single_spin(capsys):
 
 
 def test_exit_codes_for_input_errors(capsys):
+    # every command reports a lens pair that is not coprime in sigma's words
+    not_coprime = {
+        ("delta", "--lens", "8", "2", "--eps", "1"): "error: q = 2 and p = 8 are not coprime\n",
+        ("sigma", "2", "4"): "error: q = 2 and p = 4 are not coprime\n",
+    }
     cases = [
         ("delta", "--seifert", "(2,1),(3,1)(5,-4)", "--all-spin"),  # syntax
         ("delta", "--lens", "8", "3"),            # p even needs --eps
-        ("delta", "--lens", "8", "2", "--eps", "1"),  # not coprime
-        ("sigma", "2", "4"),                      # not coprime
+        *not_coprime,
         ("feasible", "--bplus", "1", "--bminus", "0", "--sign", "0",
          "--delta", "0"),                         # sign inconsistent
         ("char-sphere", "--bplus", "0", "--bminus", "1", "--square", "2"),
@@ -105,6 +109,8 @@ def test_exit_codes_for_input_errors(capsys):
         rc, out, err = run(capsys, *argv)
         assert rc == 2, argv
         assert err.startswith("error:"), argv
+        if argv in not_coprime:
+            assert err == not_coprime[argv]
 
 
 @pytest.mark.parametrize("argv", [
