@@ -46,7 +46,6 @@ from .sigma import _sigma
 
 __all__ = [
     "DeltaCaseId",
-    "FAMILY_LENS",
     "FAMILY_D",
     "FAMILY_T",
     "FAMILY_O",
@@ -58,7 +57,6 @@ __all__ = [
     "iter_cases",
 ]
 
-FAMILY_LENS = "Lens"
 FAMILY_D = "D(2,2,n)"
 FAMILY_T = "T(2,3,3)"
 FAMILY_O = "O(2,3,4)"
@@ -69,10 +67,10 @@ FAMILY_I = "I(2,3,5)"
 class DeltaCaseId:
     """A catalog row plus the parameters that pin down one instance.
 
-    ``params`` carries (p, q, eps) for lens rows, (n, b[, eps]) for D rows
-    and (k[, eps]) for T/O/I rows.  ``orientation_reversed`` records that the
-    row describes the orientation reversal of the data handed to
-    ``classify`` (the defect of the original is minus the row value).
+    ``params`` carries (n, b[, eps]) for D rows and (k[, eps]) for T/O/I
+    rows.  ``orientation_reversed`` records that the row describes the
+    orientation reversal of the data handed to ``classify`` (the defect of
+    the original is minus the row value).
     """
 
     family: str
@@ -327,11 +325,6 @@ def delta_table(case: DeltaCaseId) -> int:
     This is the value for the row's own orientation; ``delta`` negates it
     when the case carries the orientation-reversed flag.
     """
-    if case.family == FAMILY_LENS:
-        p, q = case.params["p"], case.params["q"]
-        if not p > q > 0:
-            raise ValueError(f"lens row needs p > q > 0, got ({p}, {q})")
-        return LensSpace(p, q, case.params["eps"]).defect()
     if case.family == FAMILY_D:
         label, n, b = case.row, case.params["n"], case.params["b"]
         if label not in _D_ROWS:
@@ -403,8 +396,6 @@ def instantiate_case(case: DeltaCaseId) -> tuple[SeifertData, SpinAssignment]:
     through delta_table.
     """
     delta_table(case)  # validates parameters
-    if case.family == FAMILY_LENS:
-        raise ValueError("lens rows are realized by LensSpace, not SeifertData")
     if case.family == FAMILY_D:
         n, b = case.params["n"], case.params["b"]
         _, brange, pattern, _ = _D_ROWS[case.row]

@@ -20,11 +20,13 @@ from .catalog import DeltaCaseId, classify, delta, instantiate_case, iter_cases
 from .errors import InternalDisagreement, SpinDefectError
 from .obstruction import (
     FourManifoldShape,
+    _sphere_assembly,
     characteristic_sphere_check,
     cobordism_order_certificate,
     definite_filling_signature,
     rp2_embedding_check,
     spin_filling_feasible,
+    ten_eighths_verdict,
     verdict_report,
 )
 from .plumbing import (
@@ -278,19 +280,20 @@ def cmd_seifert_to_plumbing(args) -> int:
 
 def cmd_feasible(args) -> int:
     y = _shape_from_args(args)
+    assembled = y.mirror()
     verdict = spin_filling_feasible(y, args.delta)
     report = verdict_report(
         verdict,
         input={"b_plus": y.b_plus, "b_minus": y.b_minus, "sign": y.sign,
                "delta": args.delta},
-        assembled_shape=y.mirror(),
+        assembled_shape=assembled,
         delta=args.delta,
     )
     lines = [f"status = {verdict.status}"]
     if verdict.ind is not None:
         lines.append(f"ind = {verdict.ind}")
     if not verdict.residue_ok:
-        lines.append(f"sign + delta = {y.mirror().sign + args.delta} != 0 (mod 16)")
+        lines.append(f"sign + delta = {assembled.sign + args.delta} != 0 (mod 16)")
     if verdict.status.value == "ForcedEqual":
         lines.append("a filling of this shape must have sign(Y) = delta")
     _emit(args, lines, report)
@@ -298,7 +301,7 @@ def cmd_feasible(args) -> int:
 
 
 def cmd_definite(args) -> int:
-    res = definite_filling_signature(args.delta, args.scan_limit)
+    res = definite_filling_signature(args.delta)
     lines = [f"delta = {res.delta}: {res.summary}"]
     ce = None
     if res.counterexample is not None:
@@ -310,7 +313,7 @@ def cmd_definite(args) -> int:
             f"(b+ = {ce['b_plus']}, b- = {ce['b_minus']})"
         )
     _emit(args, lines, {
-        "input": {"delta": args.delta, "scan_limit": args.scan_limit},
+        "input": {"delta": args.delta},
         "forced": res.forced,
         "counterexample": ce,
     })
@@ -366,14 +369,14 @@ def cmd_rp2(args) -> int:
 
 def cmd_char_sphere(args) -> int:
     x = _shape_from_args(args)
-    verdict = characteristic_sphere_check(x, args.square)
-    assembled = FourManifoldShape(x.b_plus - 1, x.b_minus, x.sign - 1)
+    assembled, delta_total = _sphere_assembly(x, args.square)
+    verdict = ten_eighths_verdict(assembled, delta_total)
     report = verdict_report(
         verdict,
         input={"b_plus": x.b_plus, "b_minus": x.b_minus, "sign": x.sign,
                "square": args.square},
         assembled_shape=assembled,
-        delta=-(args.square - 1),
+        delta=delta_total,
     )
     lines = [f"status = {verdict.status}"]
     if verdict.ind is not None:
@@ -594,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("definite", parents=[common],
                        help="signature forcing for definite spin fillings")
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--scan-limit", type=int, default=64)
     p.set_defaults(func=cmd_definite)
 
     p = sub.add_parser("cobordism", parents=[common],

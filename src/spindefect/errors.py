@@ -41,8 +41,12 @@ class DegenerateEuler(SpinDefectError, ValueError):
 
 
 class NoSpinForm(SpinDefectError, ValueError):
-    """No re-presentation with even central framing and vanishing meridian
-    spin values exists for the requested data."""
+    """The requested spin structure does not exist: ``sigma`` and
+    ``LensSpace`` raise it for a sign eps that labels no spin structure on
+    the lens space, and ``classify``, ``delta_engine`` and
+    ``seifert_to_plumbing`` for Seifert labels that fail the spin
+    constraints (no re-presentation has even central framing and vanishing
+    meridian spin values)."""
 
 
 class NoSolution(SpinDefectError):

@@ -147,7 +147,6 @@ class DefiniteForcing:
 
     delta: int
     forced: bool  # every definite spin filling must have sign = delta
-    scan_limit: int
     counterexample: FourManifoldShape | None  # surviving shape with sign != delta
 
     @property
@@ -157,7 +156,7 @@ class DefiniteForcing:
         return "unconstrained by the definite-filling criterion"
 
 
-def definite_filling_signature(delta_s: int, scan_limit: int = 64) -> DefiniteForcing:
+def definite_filling_signature(delta_s: int) -> DefiniteForcing:
     """Definite spin fillings must carry sign = delta when |delta| <= 18.
 
     Closed form: a definite shape with sign != delta escapes exclusion
@@ -165,18 +164,16 @@ def definite_filling_signature(delta_s: int, scan_limit: int = 64) -> DefiniteFo
     b satisfies b = |delta| (mod 16) and (|delta| + 8)/9 <= b <= |delta| - 16.
     So only the least b = |delta| (mod 16) with (|delta| + 8)/9 <= b needs
     testing: the forcing holds exactly when b > |delta| - 16, that is when
-    |delta| <= 18.  Otherwise the shape of Betti number b with the sign of
-    delta is the first survivor of a scan over b; it is reported when
-    b <= ``scan_limit`` and confirmed by the 10/8 kernel.
+    |delta| <= 18.  Otherwise the definite shape of Betti number b with the
+    sign of delta is the survivor of least b; it is reported, at any
+    |delta|, and confirmed by the 10/8 kernel.
     """
-    if scan_limit < 0:
-        raise ValueError(f"scan_limit must be >= 0, got {scan_limit}")
     d = abs(delta_s)
     lo = -(-(d + 8) // 9)  # ceil((|delta| + 8) / 9)
     b = lo + (d - lo) % 16
     forced = b > d - 16
     counterexample = None
-    if not forced and b <= scan_limit:
+    if not forced:
         shape = FourManifoldShape(b, 0, b)
         counterexample = shape if delta_s > 0 else shape.mirror()
         if spin_filling_feasible(counterexample, delta_s).excluded:
@@ -184,7 +181,7 @@ def definite_filling_signature(delta_s: int, scan_limit: int = 64) -> DefiniteFo
                 f"closed-form survivor {counterexample} is excluded by the "
                 f"10/8 kernel at delta = {delta_s}"
             )
-    return DefiniteForcing(delta_s, forced, scan_limit, counterexample)
+    return DefiniteForcing(delta_s, forced, counterexample)
 
 
 @dataclass(frozen=True)
@@ -254,12 +251,17 @@ def characteristic_sphere_check(x: FourManifoldShape, n: int) -> TenEighthsVerdi
     with the cone gives shape (b_plus - 1, b_minus, sign - 1) and the kernel
     decides.  For n <= 0 reverse the orientation first (not done here).
     """
+    return ten_eighths_verdict(*_sphere_assembly(x, n))
+
+
+def _sphere_assembly(x: FourManifoldShape, n: int) -> tuple[FourManifoldShape, int]:
+    """The closed shape and the defect that ``characteristic_sphere_check``
+    hands the kernel, after the same checks of n and x."""
     if n <= 0:
         raise ValueError("need n > 0; reverse the ambient orientation first")
     if x.b_plus < 1:
         raise ValueError("a class of positive square needs b_plus >= 1")
-    assembled = FourManifoldShape(x.b_plus - 1, x.b_minus, x.sign - 1)
-    return ten_eighths_verdict(assembled, -(n - 1))
+    return FourManifoldShape(x.b_plus - 1, x.b_minus, x.sign - 1), -(n - 1)
 
 
 _CITATIONS = (
@@ -272,20 +274,17 @@ def verdict_report(
     verdict: TenEighthsVerdict,
     *,
     input: Mapping,
-    assembled_shape: FourManifoldShape | None = None,
-    delta: int | None = None,
+    assembled_shape: FourManifoldShape,
+    delta: int,
 ) -> dict:
     """Uniform report structure shared by the CLI's verdict commands."""
-    shape = None
-    if assembled_shape is not None:
-        shape = {
+    return {
+        "input": dict(input),
+        "assembled_shape": {
             "b_plus": assembled_shape.b_plus,
             "b_minus": assembled_shape.b_minus,
             "sign": assembled_shape.sign,
-        }
-    return {
-        "input": dict(input),
-        "assembled_shape": shape,
+        },
         "delta": delta,
         "ind": verdict.ind,
         "status": str(verdict.status),

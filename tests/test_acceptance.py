@@ -190,11 +190,11 @@ def test_criterion_7_definite_forcing(capfd):
     with criterion(7, "definite forcing |delta| <= 18, survivor at 26", capfd,
                    budget=10.0):
         for d in range(-18, 19):
-            res = definite_filling_signature(d, scan_limit=64)
+            res = definite_filling_signature(d)
             assert res.forced and res.counterexample is None, d
         for d, survivor in ((26, FourManifoldShape(10, 0, 10)),
                             (-26, FourManifoldShape(0, 10, -10))):
-            res = definite_filling_signature(d, scan_limit=64)
+            res = definite_filling_signature(d)
             assert not res.forced
             assert res.counterexample == survivor
             assert res.counterexample.sign != d

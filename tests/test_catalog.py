@@ -11,7 +11,6 @@ from spindefect.catalog import (
     _ROWS_OF_FAMILY_T,
     FAMILY_D,
     FAMILY_I,
-    FAMILY_LENS,
     FAMILY_O,
     FAMILY_T,
     DeltaCaseId,
@@ -186,16 +185,15 @@ def test_constant_row_values():
 
 
 def test_lens_rows_and_dispatch():
-    case = DeltaCaseId(FAMILY_LENS, "lens", {"p": 4, "q": 3, "eps": 1})
-    assert delta_table(case) == sigma(3, 4, 1) == 1
-    assert delta(LensSpace(4, 3, 1)) == 1
+    assert delta(LensSpace(4, 3, 1)) == sigma(3, 4, 1) == 1
     assert delta(LensSpace(4, 3, -1)) == sigma(3, 4, -1)
     # the structure is the lens space's eps: labels beside it are refused
     for c in (-1, 1, SpinAssignment((0, 1, 1))):
         with pytest.raises(TypeError, match="takes no labels"):
             delta(LensSpace(4, 3, 1), c)
-    with pytest.raises(ValueError):
-        delta_table(DeltaCaseId(FAMILY_LENS, "lens", {"p": 3, "q": 4, "eps": 1}))
+    # the catalog has no lens family: a hand-built lens case names no row
+    with pytest.raises(UnrecognizedForm, match=r"unknown catalog row \(lens\)"):
+        delta_table(DeltaCaseId("Lens", "lens", {"p": 4, "q": 3, "eps": 1}))
 
 
 def test_delta_table_parameter_validation():
@@ -265,7 +263,7 @@ def test_const_row_lookup_matches_the_linear_scan():
 
 # each public entry on the catalog, engine and plumbing path keeps the
 # outcome it had when it walked the SeifertData itself; a LensSpace has no
-# len() and no iteration, and only seifert_to_plumbing accepts one
+# len() and no iteration, and only seifert_to_plumbing and delta accept one
 _S = SeifertData([(2, 1), (3, 1), (5, -4)])
 _GUARD_INPUTS = {
     "lens": (LensSpace(5, 2, -1), SpinAssignment((0, 1, 1))),
@@ -276,9 +274,14 @@ _GUARD_INPUTS = {
     "bare pairs": (_S.pairs, SpinAssignment((1, 1, 0))),
     "namespace": (types.SimpleNamespace(pairs=_S.pairs), SpinAssignment((1, 1, 0))),
     "none": (None, SpinAssignment(())),
+    "no labels": (_S, None),
 }
 def _spin_enumerate_of(s, c):
     return spin_enumerate(s)
+
+
+def _shift_move_of(s, c):
+    return shift_move(s, c, (0,) * len(s))
 
 
 def _not_seifert(name):
@@ -313,6 +316,9 @@ _NOT_SPIN = (NoSpinForm, "labels (1, 1, 1);0 are not a spin structure on "
       for given, name in [("bare pairs", "tuple"), ("namespace", "SimpleNamespace")]
       for f in (classify, delta_engine, spin_conditions_hold, _spin_enumerate_of)),
     (spin_conditions_hold, "none", _not_seifert("NoneType")),
+    (delta, "bare pairs", (TypeError, "expected SeifertData or LensSpace, got tuple")),
+    (delta, "no labels", (TypeError, "three-fiber data needs a SpinAssignment")),
+    (_shift_move_of, "wrong length", _WRONG_LENGTH),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_entry_guards_keep_their_errors(f, given, expected):
     assert _outcome(f, *_GUARD_INPUTS[given]) == expected
@@ -330,8 +336,8 @@ def test_entry_guards_keep_what_they_let_through():
 
 
 def test_instantiate_rejects_lens_cases():
-    with pytest.raises(ValueError):
-        instantiate_case(DeltaCaseId(FAMILY_LENS, "lens", {"p": 4, "q": 1, "eps": 1}))
+    with pytest.raises(UnrecognizedForm):
+        instantiate_case(DeltaCaseId("Lens", "lens", {"p": 4, "q": 1, "eps": 1}))
 
 
 @settings(max_examples=60, deadline=None)

@@ -129,6 +129,8 @@ def test_inadmissible_lens_sign_exits_2_with_the_admissible_one(capsys):
         (("delta", "--lens", "3", "-2", "--eps", "1"),
          "L(3, -2) with p odd has only the eps = -1 structure"),
         (("sigma", "1", "3", "--eps", "-1"), "L(3, 1) with p odd has only the eps = +1 structure"),
+        # a negative odd p is named by |p|, with q negated
+        (("sigma", "1", "-3", "--eps", "-1"), "L(3, -1) with p odd has only the eps = +1 structure"),
     ]:
         rc, out, err = run(capsys, *argv)
         assert rc == 2
@@ -226,6 +228,25 @@ def test_definite_json(capsys):
     assert rc == 0 and doc["forced"] and doc["counterexample"] is None
     rc, doc, _ = run_json(capsys, "definite", "--delta", "26")
     assert doc["counterexample"] == {"b_plus": 10, "b_minus": 0, "sign": 10}
+    assert doc["input"] == {"delta": 26}
+    # the survivor is reported at any |delta|, here past b = 64
+    rc, doc, _ = run_json(capsys, "definite", "--delta", "1000")
+    assert rc == 0 and not doc["forced"]
+    assert doc["counterexample"] == {"b_plus": 120, "b_minus": 0, "sign": 120}
+    rc, out, _ = run(capsys, "definite", "--delta", "1000")
+    assert out == (
+        "delta = 1000: unconstrained by the definite-filling criterion\n"
+        "surviving definite shape with sign != delta: (b+ = 120, b- = 0)\n"
+    )
+
+
+def test_definite_has_no_scan_limit(capsys):
+    with pytest.raises(SystemExit) as usage:
+        main(["definite", "--delta", "0", "--scan-limit", "5"])
+    assert usage.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:")
+    assert "unrecognized arguments: --scan-limit 5" in err
 
 
 def test_plumbing_star_and_wu(capsys):
@@ -282,9 +303,10 @@ def test_plumbing_past_the_wu_enumeration_cap_exits_2(capsys):
         assert err == "error: GF(2) kernel dimension 13 exceeds the enumeration cap\n"
 
 
-def test_definite_rejects_a_negative_scan_limit(capsys):
-    rc, out, err = run(capsys, "definite", "--delta", "4", "--scan-limit", "-1")
-    assert rc == 2 and out == "" and err.startswith("error:")
+def test_plumbing_wu_of_the_wrong_length_exits_2(capsys):
+    rc, out, err = run(capsys, "plumbing", "--star", "(0; 3)", "--wu", "1,0,1")
+    assert rc == 2 and out == ""
+    assert err == "error: --wu needs 2 bits\n"
 
 
 def test_delta_rejects_lens_p_zero(capsys):
@@ -352,6 +374,9 @@ def test_seifert_to_plumbing_matches_library(capsys):
 def test_cobordism_text(capsys):
     rc, out, _ = run(capsys, "cobordism", "--lens", "7", "3")
     assert rc == 1 and "infinite order" in out
+    rc, out, _ = run(capsys, "cobordism", "--lens", "5", "2")
+    assert rc == 0
+    assert out == "delta = 0\ndefect vanishes: no conclusion from this criterion\n"
     rc, out, _ = run(capsys, "cobordism", "--seifert", "(2,1),(2,1),(4,1)",
                      "--spin", "0,0,0")
     assert rc == 0  # |H1| even: no order conclusion
@@ -467,7 +492,7 @@ _FLAGS = {
     "plumbing": ([], [_flag("--star", _star), st.just(["--graph", "-"]), _flag("--wu", _bits)]),
     "seifert-to-plumbing": ([_space], _space_flags),
     "feasible": (_shape + [_flag("--delta", _int)], [_flag("--sign", _int)]),
-    "definite": ([_flag("--delta", _int)], [_flag("--scan-limit", _int)]),
+    "definite": ([_flag("--delta", _int)], []),
     "cobordism": ([_space], _space_flags),
     "rp2": (_shape + [_flag("--euler", _int)], [_flag("--sign", _int)]),
     "char-sphere": (_shape + [_flag("--square", _int)], [_flag("--sign", _int)]),
@@ -551,7 +576,7 @@ def _run_main(argv, stdin):
 @given(_argv(), _graph_doc)
 @example(["plumbing", "--graph", "-"], _DEEP)
 @example(["selftest"], "")
-@example(["definite", "--delta", "26", "--scan-limit", "10000"], "")
+@example(["definite", "--delta", str(10**30)], "")
 def test_exit_code_contract(argv, stdin):
     rc, out, err = _run_main(argv, stdin)
     assert rc in (0, 1, 2), (argv, rc)

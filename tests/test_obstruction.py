@@ -89,19 +89,17 @@ def test_feasible_matches_the_literal_inequalities(rng):
             assert y.sign == d
 
 
-def definite_scan(delta_s, scan_limit=64):
+def definite_scan(delta_s, bound):
     """The definite-forcing oracle: push every definite shape with second
-    Betti number up to scan_limit through the 10/8 kernel.
+    Betti number up to ``bound`` through the 10/8 kernel.
 
     A non-Excluded shape with sign != delta inside |delta| <= 18 raises
     InternalDisagreement; outside that regime the first survivor is the
-    counterexample.
+    counterexample, or None when no survivor has b <= bound.
     """
-    if scan_limit < 0:
-        raise ValueError(f"scan_limit must be >= 0, got {scan_limit}")
     forced = abs(delta_s) <= 18
     counterexample = None
-    for b in range(scan_limit + 1):
+    for b in range(bound + 1):
         for shape in (
             FourManifoldShape(b, 0, b),
             FourManifoldShape(0, b, -b),
@@ -118,7 +116,7 @@ def definite_scan(delta_s, scan_limit=64):
                     counterexample = shape
             if b == 0:
                 break  # (0,0,0) only once
-    return DefiniteForcing(delta_s, forced, scan_limit, counterexample)
+    return DefiniteForcing(delta_s, forced, counterexample)
 
 
 def test_definite_forcing_range():
@@ -133,28 +131,29 @@ def test_definite_forcing_range():
 
 
 def test_definite_scan_is_verified_not_quoted():
-    # shrinking the scan limit cannot create false counterexamples
-    res = definite_filling_signature(-8, scan_limit=16)
-    assert res.forced and res.counterexample is None
     # a defect far outside the window has an explicit survivor
     res = definite_filling_signature(26)
     assert res.counterexample == FourManifoldShape(10, 0, 10)
-    with pytest.raises(ValueError):
-        definite_filling_signature(4, scan_limit=-1)  # would scan nothing
 
 
 def test_closed_form_forcing_matches_the_scan():
-    for limit in (0, 1, 3, 16, 17, 64, 200):
-        for d in range(-400, 401):
-            assert definite_filling_signature(d, limit) == definite_scan(d, limit), (d, limit)
+    # every survivor with |delta| <= 400 has b <= 60, inside the scan
+    for d in range(-400, 401):
+        assert definite_filling_signature(d) == definite_scan(d, 64), d
 
 
-def test_closed_form_forcing_is_constant_time_in_the_limit():
-    # the scan would turn 10**12 times here
-    assert definite_filling_signature(5, 10**12).forced
-    res = definite_filling_signature(-1000, 10**12)
+def test_closed_form_forcing_reports_a_survivor_at_any_delta():
+    # the least survivor at -1000 has b = 120, past any small scan
+    res = definite_filling_signature(-1000)
     assert res.counterexample == FourManifoldShape(0, 120, -120)
-    assert res.counterexample == definite_scan(-1000, 120).counterexample
+    assert res == definite_scan(-1000, 120)
+    # and at 10**30, where no scan reaches, the closed form still answers
+    big = 10**30
+    res = definite_filling_signature(big)
+    assert not res.forced and res.counterexample.b_minus == 0
+    b = res.counterexample.b_plus
+    assert b % 16 == big % 16 and 9 * (b - 16) < big + 8 <= 9 * b
+    assert not spin_filling_feasible(res.counterexample, big).excluded
 
 
 def test_cobordism_certificates():
@@ -261,9 +260,9 @@ def test_forcing_window_is_scan_clean():
     # the scan raises InternalDisagreement on a survivor inside |delta| <= 18,
     # so the closed form's forcing window is checked, not quoted
     for d in range(-18, 19):
-        res = definite_scan(d, scan_limit=32)
+        res = definite_scan(d, 32)
         assert res.forced and res.counterexample is None
-        assert definite_filling_signature(d, scan_limit=32) == res
+        assert definite_filling_signature(d) == res
     # and the guard machinery is wired to the exception type we document
     assert issubclass(InternalDisagreement, Exception)
     assert not issubclass(InternalDisagreement, ValueError)

@@ -179,6 +179,16 @@ def test_lens_relabelling_convention():
         for eps in (1, -1):
             if is_spin_sign_admissible(q, p, eps):
                 assert sigma(-q, -p, eps) == sigma(q, p, eps)
+            else:
+                # a refused sign is named the same way from either side
+                with pytest.raises(NoSpinForm) as positive:
+                    sigma(q, p, eps)
+                with pytest.raises(NoSpinForm) as negative:
+                    sigma(-q, -p, eps)
+                assert str(negative.value) == str(positive.value)
+    with pytest.raises(NoSpinForm) as refused:
+        sigma(1, -3, -1)
+    assert str(refused.value) == "L(3, -1) with p odd has only the eps = +1 structure"
 
 
 # --- even continued fractions --------------------------------------------------

@@ -287,7 +287,8 @@ def _presentations(sd):
 def catalog_values(sd, rng):
     """Every case of ``iter_cases(3, 14, 14)`` and its row value; each
     presentation; ``delta_table`` on parameters moved off their rows; and
-    the lens rows with p < 60, q from -1 to p + 1."""
+    hand-built ``"Lens"`` cases, a family the catalog does not have, with
+    p < 60, q from -1 to p + 1."""
     cases = list(sd.catalog.iter_cases(k_span=3, n_max=14, b_max=14))
     for case in cases:
         yield "case", case
@@ -301,7 +302,7 @@ def catalog_values(sd, rng):
     for p in range(1, 60):
         for q in range(-1, p + 2):
             for eps in (1, -1):
-                yield "case", sd.catalog.DeltaCaseId(sd.catalog.FAMILY_LENS, "lens", {"p": p, "q": q, "eps": eps})
+                yield "case", sd.catalog.DeltaCaseId("Lens", "lens", {"p": p, "q": q, "eps": eps})
     yield "case", sd.catalog.DeltaCaseId(sd.catalog.FAMILY_D, "no-such-row", {"n": 3, "b": 1})
     yield "case", sd.catalog.DeltaCaseId(sd.catalog.FAMILY_I, "3-1", {"k": 0})
 
