@@ -200,6 +200,10 @@ _D_ROWS = {
 
 _D_ROW_OF = {row[:3]: label for label, row in _D_ROWS.items()}
 
+# the family of every row label, which a case id must name
+_FAMILY_OF_LABEL = {label: FAMILY_D for label in _D_ROWS}
+_FAMILY_OF_LABEL.update((row.label, row.family) for row in _CONST_ROWS)
+
 
 def _d_row_domain_error(label: str, n: int, b: int) -> str | None:
     """Why (n, b) lies outside D row ``label``, or None when it is inside."""
@@ -323,12 +327,21 @@ def delta_table(case: DeltaCaseId) -> int:
     """The printed defect of a catalog row at the case's parameters.
 
     This is the value for the row's own orientation; ``delta`` negates it
-    when the case carries the orientation-reversed flag.
+    when the case carries the orientation-reversed flag.  The case id is
+    checked in order: its row label, then its family against the row's,
+    then the presence of the row's parameters, then their values.
     """
-    if case.family == FAMILY_D:
-        label, n, b = case.row, case.params["n"], case.params["b"]
-        if label not in _D_ROWS:
-            raise UnrecognizedForm(f"unknown catalog row ({label})")
+    label = case.row
+    family = _FAMILY_OF_LABEL.get(label)
+    if family is None:
+        raise UnrecognizedForm(f"unknown catalog row ({label})")
+    if case.family != family:
+        raise ValueError(f"row ({label}) does not belong to {case.family}")
+    if family == FAMILY_D:
+        try:
+            n, b = case.params["n"], case.params["b"]
+        except KeyError as exc:
+            raise _missing_parameter(label, exc) from None
         error = _d_row_domain_error(label, n, b)
         if error is not None:
             raise ValueError(error)
@@ -337,14 +350,19 @@ def delta_table(case: DeltaCaseId) -> int:
         # gcd(n, n + b) = 1, and a sum row has n + b > 0: both pairs are in
         # the domain of the kernel _sigma
         return _sigma(n, n + b, -1) if brange == "sum" else _sigma(n, b, -1) + addend
-    row = _const_row(case.row, case.params.get("eps"))
-    if row.family != case.family:
-        raise ValueError(f"row ({case.row}) does not belong to {case.family}")
-    k = case.params["k"]
+    try:
+        k = case.params["k"]
+    except KeyError as exc:
+        raise _missing_parameter(label, exc) from None
+    row = _const_row(label, case.params.get("eps"))
     if not row.k_in_range(k):
         side = "k >= 0" if row.t == 1 else "k <= -1"
-        raise ValueError(f"row ({case.row}) needs {side}, got k = {k}")
+        raise ValueError(f"row ({label}) needs {side}, got k = {k}")
     return row.delta
+
+
+def _missing_parameter(label: str, exc: KeyError) -> ValueError:
+    return ValueError(f"row ({label}) needs the parameter {exc.args[0]}")
 
 
 def delta(s, c=None) -> int:

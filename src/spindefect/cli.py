@@ -51,7 +51,7 @@ from .seifert import (
     reverse_orientation,
     spin_enumerate,
 )
-from .sigma import cf_eval, even_cf_expand, is_spin_sign_admissible, sigma, sigma_trig
+from .sigma import _sign_sum, cf_eval, even_cf_expand, is_spin_sign_admissible, sigma, sigma_trig
 
 EXIT_OK = 0
 EXIT_OBSTRUCTED = 1
@@ -149,7 +149,7 @@ def cmd_evencf(args) -> int:
     _emit(args, lines, {
         "input": {"p": args.p, "q": args.q},
         "entries": list(entries),
-        "sign_sum": sum((a > 0) - (a < 0) for a in entries),
+        "sign_sum": _sign_sum(entries),
     })
     return EXIT_OK
 

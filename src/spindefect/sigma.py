@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -219,10 +220,13 @@ def sigma(q: int, p: int, eps: int) -> int:
       of opposite parity, via reciprocity
       sigma(q', p, -1) = -sgn(p q') - sigma(p, q', -1) before expanding.
 
-    The sign sum lists the expansion's entries, so a pair whose expansion
-    holds a run of more than ``sys.maxsize`` entries raises ValueError from
-    the expansion kernel ``_even_cf``.  Such pairs wait for a sign sum
-    taken run by run, without listing the entries.
+    The sign sum lists the expansion's entries and counts the negative
+    ones in one C-level pass (``_sign_sum``), so it still costs O(p) on a
+    long run, and a pair whose expansion holds a run of more than
+    ``sys.maxsize`` entries raises ValueError from the expansion kernel
+    ``_even_cf``.  Such pairs wait for a sign sum taken run by run, without
+    listing the entries (ROADMAP item 3), which waits in turn on a
+    benchmark whose wall time is bounded (item 1).
     """
     _check_args(q, p, eps)
     _check_spin_sign(q, p, eps)
@@ -257,8 +261,20 @@ def _sigma(q: int, p: int, e: int) -> int:
 
 
 def _cf_sign_sum(p: int, q: int) -> int:
-    # _sigma hands over a coprime pair of opposite parity with p > q > 0
-    return sum(sgn(a) for a in _even_cf(p, q))
+    # _sigma hands over a coprime pair of opposite parity with p > q > 0;
+    # the expansion is listed, then its signs are summed in one C-level
+    # count; a sum taken run by run, unlisted, waits on ROADMAP item 1
+    return _sign_sum(_even_cf(p, q))
+
+
+def _sign_sum(entries: tuple[int, ...]) -> int:
+    """sum(sgn(a) for a in entries) for a listed even expansion.
+
+    Every entry is a nonzero even integer, so sgn(a) = 1 - 2*[a < 0]: the
+    sum is the length less twice the number of negative entries, and those
+    are counted in one C-level pass, with no Python call per entry.
+    """
+    return len(entries) - 2 * sum(map(operator.lt, entries, itertools.repeat(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +303,18 @@ def sigma_trig(q: int, p: int, eps: int, tol: float = SIGMA_TRIG_TOL) -> TrigSum
     if p < 0:
         q, p = -q, -p
     terms = []
+    eps_k = 1
     for k in range(1, p):
         # reduce k*q mod p before multiplying by pi/p; cot has period pi,
         # csc picks up (-1)**m under a shift by m*pi
         m, r = divmod(k * q, p)
         t1 = math.pi * k / p
         t2 = math.pi * r / p
-        cot = math.cos(t1) / math.sin(t1) * (math.cos(t2) / math.sin(t2))
-        csc = (-1.0 if m % 2 else 1.0) / (math.sin(t1) * math.sin(t2))
-        terms.append(cot + 2.0 * (eps**k) * csc)
+        s1, s2 = math.sin(t1), math.sin(t2)
+        cot = math.cos(t1) / s1 * (math.cos(t2) / s2)
+        csc = (-1.0 if m % 2 else 1.0) / (s1 * s2)
+        eps_k *= eps  # eps**k
+        terms.append(cot + 2.0 * eps_k * csc)
     value = math.fsum(terms) / p
     rounded = round(value)
     if abs(value - rounded) >= tol:

@@ -213,6 +213,18 @@ def test_delta_table_parameter_validation():
         delta_table(DeltaCaseId(FAMILY_D, "2-1", {"n": 5, "b": 1}))  # b range
     with pytest.raises(ValueError):
         delta_table(DeltaCaseId(FAMILY_D, "2-5", {"n": 5, "b": -7}))  # n + b <= 0
+    # the label is resolved first, then the family, then the parameters, so
+    # each id is refused for its own fault and never with a KeyError
+    for case, error, message in [
+        (DeltaCaseId(FAMILY_D, "3-1", {"k": 0}), ValueError, r"row \(3-1\) does not belong to D\(2,2,n\)"),
+        (DeltaCaseId(FAMILY_D, "2-1", {"k": 0}), ValueError, r"row \(2-1\) needs the parameter n$"),
+        (DeltaCaseId(FAMILY_T, "3-1", {}), ValueError, r"row \(3-1\) needs the parameter k$"),
+        (DeltaCaseId("Lens", "2-1", {"n": 3, "b": -2}), ValueError, r"row \(2-1\) does not belong to Lens"),
+        (DeltaCaseId(FAMILY_O, "2-1", {"n": 3, "b": -2}), ValueError, r"row \(2-1\) does not belong to O\(2,3,4\)"),
+    ]:
+        for f in (delta_table, instantiate_case):
+            with pytest.raises(error, match=message):
+                f(case)
 
 
 def test_classify_input_validation():

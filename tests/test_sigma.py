@@ -17,7 +17,7 @@ from spindefect.sigma import (
     sigma_trig,
 )
 
-from conftest import coprime_pairs, coprime_to, pairs_of
+from conftest import coprime_pairs, coprime_to, pairs_of, runs_at_most
 
 # Frozen against an independent 50-digit evaluation of the cot/csc sum
 # (mpmath); every entry agreed with the rounded high-precision value to
@@ -245,14 +245,17 @@ def test_expansion_matches_the_per_entry_loop_below_200():
 @st.composite
 def _thirty_digit_pairs(draw):
     # q stays at least a thousandth of p below p, so that a run of 2s at
-    # the start, which the per-entry oracle walks entry by entry, is short;
-    # a pair of the same parity becomes (p + q, q), which keeps the gcd 1
+    # the start, which the per-entry oracle walks entry by entry, is short,
+    # and every later run is at most 10**5 long (y = x - x // 1000 - 1 can
+    # hold a run of 10**24 twos); a pair of the same parity becomes
+    # (p + q, q), which keeps the gcd 1
     x = draw(st.integers(10**29, 10**30))
     y = draw(st.integers(1, x - x // 1000))
     g = math.gcd(x, y)
     p, q = x // g, y // g
     if (p + q) % 2 == 0:
         p += q
+    assume(runs_at_most(p, q, 10**5))
     return draw(st.sampled_from((p, -p))), draw(st.sampled_from((q, -q)))
 
 
@@ -261,14 +264,19 @@ def _thirty_digit_pairs(draw):
 def test_expansion_matches_the_per_entry_loop_on_thirty_digit_pairs(pq):
     entries = _assert_expansion(*pq)
     assert cf_eval(entries) == _fraction_fold(entries)
+    # sigma's counted sign sum against one sgn call per listed entry
+    p, q = pq
+    assert sigma(q, p, -1) == -sum(sgn(a) for a in entries)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 10, 11, 32, 99, 100, 317, 1000, 1001, 3162, 10**4])
 def test_expansion_matches_the_per_entry_loop_on_runs(p):
-    # p/(p - 1) is p - 1 entries 2; (p + 1)/p, the lens chain's shape, p twos
+    # p/(p - 1) is p - 1 entries 2; (p + 1)/p, the lens chain's shape, p
+    # twos; sigma's counted sign sum against one sgn call per listed entry
     for pp, q in ((p, p - 1), (p + 1, p)):
         for sp, sq in itertools.product((1, -1), repeat=2):
-            _assert_expansion(sp * pp, sq * q)
+            entries = _assert_expansion(sp * pp, sq * q)
+            assert sigma(sq * q, sp * pp, -1) == -sum(sgn(a) for a in entries)
 
 
 @pytest.mark.parametrize(
