@@ -200,10 +200,6 @@ _D_ROWS = {
 
 _D_ROW_OF = {row[:3]: label for label, row in _D_ROWS.items()}
 
-# the family of every row label, which a case id must name
-_FAMILY_OF_LABEL = {label: FAMILY_D for label in _D_ROWS}
-_FAMILY_OF_LABEL.update((row.label, row.family) for row in _CONST_ROWS)
-
 
 def _d_row_domain_error(label: str, n: int, b: int) -> str | None:
     """Why (n, b) lies outside D row ``label``, or None when it is inside."""
@@ -328,20 +324,23 @@ def delta_table(case: DeltaCaseId) -> int:
 
     This is the value for the row's own orientation; ``delta`` negates it
     when the case carries the orientation-reversed flag.  The case id is
-    checked in order: its row label, then its family against the row's,
-    then the presence of the row's parameters, then their values.
+    checked in order: its row (the label, with eps where the label needs
+    one), then its family against the row's, then the presence of the row's
+    parameters, then their values.
     """
-    label = case.row
-    family = _FAMILY_OF_LABEL.get(label)
-    if family is None:
-        raise UnrecognizedForm(f"unknown catalog row ({label})")
+    label, params = case.row, case.params
+    if label in _D_ROWS:
+        family, keys = FAMILY_D, ("n", "b")
+    else:
+        row = _const_row(label, params.get("eps"))
+        family, keys = row.family, ("k",)
     if case.family != family:
         raise ValueError(f"row ({label}) does not belong to {case.family}")
+    for key in keys:
+        if key not in params:
+            raise ValueError(f"row ({label}) needs the parameter {key}")
     if family == FAMILY_D:
-        try:
-            n, b = case.params["n"], case.params["b"]
-        except KeyError as exc:
-            raise _missing_parameter(label, exc) from None
+        n, b = params["n"], params["b"]
         error = _d_row_domain_error(label, n, b)
         if error is not None:
             raise ValueError(error)
@@ -350,19 +349,11 @@ def delta_table(case: DeltaCaseId) -> int:
         # gcd(n, n + b) = 1, and a sum row has n + b > 0: both pairs are in
         # the domain of the kernel _sigma
         return _sigma(n, n + b, -1) if brange == "sum" else _sigma(n, b, -1) + addend
-    try:
-        k = case.params["k"]
-    except KeyError as exc:
-        raise _missing_parameter(label, exc) from None
-    row = _const_row(label, case.params.get("eps"))
+    k = params["k"]
     if not row.k_in_range(k):
         side = "k >= 0" if row.t == 1 else "k <= -1"
         raise ValueError(f"row ({label}) needs {side}, got k = {k}")
     return row.delta
-
-
-def _missing_parameter(label: str, exc: KeyError) -> ValueError:
-    return ValueError(f"row ({label}) needs the parameter {exc.args[0]}")
 
 
 def delta(s, c=None) -> int:

@@ -256,15 +256,8 @@ def _sigma(q: int, p: int, e: int) -> int:
     # now 0 < q < p and still coprime; on a spin sign, eps = -1 means that
     # q and p have opposite parity, and eps = +1 that q + p and p do
     if e == -1:
-        return -s * _cf_sign_sum(p, q)
-    return s * (_cf_sign_sum(q + p, p) - 1)
-
-
-def _cf_sign_sum(p: int, q: int) -> int:
-    # _sigma hands over a coprime pair of opposite parity with p > q > 0;
-    # the expansion is listed, then its signs are summed in one C-level
-    # count; a sum taken run by run, unlisted, waits on ROADMAP item 1
-    return _sign_sum(_even_cf(p, q))
+        return -s * _sign_sum(_even_cf(p, q))
+    return s * (_sign_sum(_even_cf(q + p, p)) - 1)
 
 
 def _sign_sum(entries: tuple[int, ...]) -> int:

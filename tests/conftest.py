@@ -37,26 +37,6 @@ def coprime_to(a, b_max):
     return st.sampled_from(sorted(units, key=lambda b: (abs(b), b)))
 
 
-def runs_at_most(p, q, limit):
-    """Whether no run of equal entries +-2 in the even expansion of p/q is
-    longer than ``limit``: for p/q coprime, p + q odd and |p| > |q|.  One
-    nearest-even step per entry, independent of the expansion kernel, so it
-    gives up after at most ``limit`` + 1 steps into a run too long."""
-    run, last = 0, 0
-    while q != 0:
-        if q < 0:
-            p, q = -p, -q
-        h, r = divmod(p, 2 * q)
-        if r > q:
-            h += 1
-        run = run + 1 if h == last and h in (1, -1) else 1
-        if run > limit:
-            return False
-        last = h
-        p, q = q, 2 * h * q - p
-    return True
-
-
 def pairs_of(firsts, seconds):
     """(x, y) with x drawn from ``firsts`` and y from ``seconds(x)``."""
     return firsts.flatmap(lambda x: seconds(x).map(lambda y: (x, y)))

@@ -17,7 +17,7 @@ from spindefect.sigma import (
     sigma_trig,
 )
 
-from conftest import coprime_pairs, coprime_to, pairs_of, runs_at_most
+from conftest import coprime_pairs, coprime_to, pairs_of
 
 # Frozen against an independent 50-digit evaluation of the cot/csc sum
 # (mpmath); every entry agreed with the rounded high-precision value to
@@ -245,17 +245,14 @@ def test_expansion_matches_the_per_entry_loop_below_200():
 @st.composite
 def _thirty_digit_pairs(draw):
     # q stays at least a thousandth of p below p, so that a run of 2s at
-    # the start, which the per-entry oracle walks entry by entry, is short,
-    # and every later run is at most 10**5 long (y = x - x // 1000 - 1 can
-    # hold a run of 10**24 twos); a pair of the same parity becomes
-    # (p + q, q), which keeps the gcd 1
+    # the start, which the per-entry oracle walks entry by entry, is short;
+    # a pair of the same parity becomes (p + q, q), which keeps the gcd 1
     x = draw(st.integers(10**29, 10**30))
     y = draw(st.integers(1, x - x // 1000))
     g = math.gcd(x, y)
     p, q = x // g, y // g
     if (p + q) % 2 == 0:
         p += q
-    assume(runs_at_most(p, q, 10**5))
     return draw(st.sampled_from((p, -p))), draw(st.sampled_from((q, -q)))
 
 
