@@ -28,23 +28,23 @@ whose reduced diagonal is 1 is solved in terms of its parent and folded
 into the parent's equation; one whose reduced diagonal is 0 fixes its
 parent at 0, and its own value is then defined by the parent's equation,
 or is free when a sibling already fixed the parent.  Back-substitution from
-the root gives every solution as an affine form in the free variables, so
-the whole solve is linear in the tree, with no fill-in and no dense matrix.
+the root gives each vertex an affine form in the free variables, in segments
+of positions: linear in the tree, with no fill-in, dense matrix or sort.
 
 Both passes run over positions in one rooted order of the tree, stored
-once per graph as three aligned lists: the vertex ids with the root first
+once per graph as three aligned arrays: the vertex ids with the root first
 and every vertex after its parent, their weights, and each parent's
 position.  Every tree edge joins a vertex to its parent, so the passes
 need nothing else.  Every builder makes its tree through ``_tree``, which
-puts each vertex after its parent, and those lists are all a builder's
+puts each vertex after its parent, and those arrays are all a builder's
 tree stores, with its runs: its ``vertices`` and ``edges`` fields and its
 weight and adjacency maps are derived from them on first use, so a tree
 that is only compiled, solved and measured never builds any of them.
 ``chain_graph`` and ``star_graph`` put each weight through ``int()``;
 ``parse_star`` and the compile path hand their ints to ``_tree`` as they
 are.  A graph from the validating constructor stores the fields it was
-given and gets the lists once, from its connectivity check.  Every attribute a
-graph derives, fields, maps, lists, its odd vertices and its inertia,
+given and gets the arrays once, from its connectivity check.  Every attribute a
+graph derives, fields, maps, arrays, its odd vertices and its inertia,
 comes from one table, ``_DERIVE``, read on first use and stored in the
 instance dict.  Each name is a small descriptor on the class, so the first
 read is one call and every later read finds the stored value.
@@ -61,9 +61,7 @@ pass does when the lowest vertex's effective weight has w's sign and
 absolute value at least 1 and |w| >= 2: every vertex above then has w's
 sign, and the top's effective weight is a product of the run's transfer
 matrix, in closed form for w = +-2.  The Wu pass does when w is even:
-either every vertex above an unpinned lowest vertex with reduced diagonal
-1 has diagonal 1, and the forms alternate f, 1 + f, or pinned vertices,
-which read 0, alternate with ones that all carry one form.
+the forms then repeat with period 2 up the run, two strided segments.
 """
 
 from __future__ import annotations
@@ -323,17 +321,19 @@ def signature(m) -> tuple[int, int, int]:
     return plus, minus, n - plus - minus
 
 
-def _wu_forms(g: PlumbingGraph) -> tuple[list[int], int]:
+def _wu_forms(g: PlumbingGraph) -> tuple[list[tuple[int, slice]], set[tuple[int, int]], int]:
     """Solve M x = diag(M) over GF(2) from the leaves to the root.
 
-    Returns (x, k): x[i], for the vertex at position i of ``g._rooted``, as
-    an affine form over the k free variables, bit 0 its constant and bit
-    j + 1 free variable j.  Eliminating leaves first is a perfect
-    elimination order on a tree, so once v's children are done its equation
-    holds only x_v, x_parent and the x of its children with reduced diagonal
-    0.  That diagonal, eff_v, is w_v mod 2 plus the number of children with
-    eff 1, and it is also the equation's right-hand side: folding in an
-    eff-1 child flips both.
+    Returns (segments, links, k).  Each x_v is an affine form over the k
+    free variables, bit 0 its constant and bit j + 1 free variable j.  A
+    segment is a form and a slice of the positions of ``g._rooted`` that
+    carry it, in position order; a position in none carries 0.  ``links``
+    is the set of (x_v, x_parent) with neither form 0.
+    Eliminating leaves first is a perfect elimination order on a tree, so
+    once v's children are done its equation holds only x_v, x_parent and
+    the x of its children with reduced diagonal 0.  That diagonal, eff_v,
+    is w_v mod 2 plus the number of children with eff 1, and it is also
+    the equation's right-hand side: folding in an eff-1 child flips both.
 
     - eff 1: x_v = 1 + x_parent, folded into the parent's equation.
     - eff 0: the equation reads x_parent = 0.  The first such child c pins
@@ -349,9 +349,9 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[int], int]:
     Above an unpinned eff-1 bottom every vertex has eff 1, and back-
     substitution alternates f, 1 + f down the run.  Otherwise pinned and
     eff-0 vertices alternate up the run: the pinned ones read 0 and the
-    others all carry one form.  Either way only the top's state is needed,
-    and the forms below it are filled in by slices.  Odd-weight runs are
-    taken one vertex at a time.
+    others all carry one form.  Either way the states of the top and the
+    vertex under it give the two forms, and the rest of the interior is
+    two strided segments.  Odd-weight runs are taken one vertex at a time.
     """
     _, weights, up = g._rooted
     n = len(weights)
@@ -380,8 +380,8 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[int], int]:
                 pin[p] = i
         if top is None:
             break
-        # only the top's state is read again: back-substitution fills in the
-        # forms below it
+        # back-substitution reads only the top's state and the vertex under
+        # it, and fills in the forms below them
         stop = top + 1
         if eff[bottom] and pin[bottom] < 0:
             eff[top] = 1
@@ -389,17 +389,19 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[int], int]:
             first_pinned = bottom if pin[bottom] >= 0 else bottom - 1
             if (first_pinned - top) % 2 == 0:
                 pin[top] = top + 1
+            else:
+                pin[top + 1] = top + 2
     if len(free) > _KERNEL_CAP:
         raise NoSolution(
             f"GF(2) kernel dimension {len(free)} exceeds the enumeration cap"
         )
-    x = [-1] * n  # -1: not yet set
+    x = [-1] * n  # -1: not yet set, as most of a run's interior stays
     for j, i in enumerate(free):
         x[i] = 2 << j
-    first = 0
-    # root first, so that x_parent is known before x_v, jumping each run's interior
-    for top, bottom in [*((top, bottom) for bottom, top in even_runs), (n - 1, None)]:
-        for i in range(first, top + 1):
+    segments, links, first = [], set(), 0
+    # root first, so that x_parent is known before x_v, jumping run interiors
+    for end, bottom in [*((top + 1, bottom) for bottom, top in even_runs), (n - 1, None)]:
+        for i in range(first, end + 1):
             p = up[i]
             above = 0 if p < 0 else x[p]
             c = pin[i]
@@ -411,20 +413,18 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[int], int]:
                 x[c] = f
             elif x[i] < 0:  # free variables and defined children are set
                 x[i] = 1 ^ above
+            if x[i]:
+                segments.append((x[i], slice(i, i + 1)))
+                if above:
+                    links.add((x[i], above))
         if bottom is None:
             break
-        # the forms repeat with period 2 below the top
-        even = x[top]
-        if pin[top] >= 0:
-            odd = x[top + 1]
-        elif eff[top]:
-            odd = even ^ 1
-        else:
-            odd = 0
-        x[top + 1:bottom + 1:2] = [odd] * ((bottom - top + 1) // 2)
-        x[top + 2:bottom + 1:2] = [even] * ((bottom - top) // 2)
+        # period 2 below ``end``; the next stretch starts at the bottom, set here
+        even, odd = x[end - 1], x[end]
+        segments += [(even, slice(end + 1, bottom, 2)), (odd, slice(end + 2, bottom, 2))]
+        x[bottom - 1], x[bottom] = (odd, even) if (bottom - end) & 1 else (even, odd)
         first = bottom
-    return x, len(free)
+    return segments, links, len(free)
 
 
 def wu_solutions(g: PlumbingGraph) -> list[WuVector]:
@@ -434,29 +434,27 @@ def wu_solutions(g: PlumbingGraph) -> list[WuVector]:
     functional vanishes on the kernel of a symmetric form); it is solved in
     one pass from the leaves to the root, O(n) up to the 2^k solutions of a
     kernel of dimension k.  NoSolution is raised when k exceeds the
-    enumeration cap.  The positions are grouped by their nonzero affine
-    form once, by a sort, so a solution's support is the union of the
-    groups whose form is odd there.  Solutions are checked against the fact
-    that no two adjacent vertices can both carry eps = 1; every tree edge
-    joins a vertex to its parent, so the check reads each support vertex's
-    parent.
+    enumeration cap.  A support is the ids at the segments of ``_wu_forms``
+    whose form is odd there, one slice each on a builder's range of ids.
+    No two adjacent vertices can both carry eps = 1, and every tree edge
+    joins a vertex to its parent, so the check reads the solve's (vertex,
+    parent) pairs of forms; only a failure looks for the pair by position.
+    Two or more solutions are sorted by their sorted supports.
     """
-    if len(g) == 0:
-        return [_NO_WU]
     order, _, up = g._rooted
-    x, k = _wu_forms(g)
-    by_form = sorted(itertools.compress(range(len(x)), x), key=x.__getitem__)
-    groups = [(f, list(at_f)) for f, at_f in itertools.groupby(by_form, x.__getitem__)]
+    segments, links, k = _wu_forms(g)
     sols = []
     for free in range(1 << k):
         at = free << 1 | 1  # the constant bit, then the free variables' values
-        support = set().union(*[at_f for f, at_f in groups if (f & at).bit_count() & 1])
-        if not support.isdisjoint(map(up.__getitem__, support)):
-            i = next(i for i in support if up[i] in support)
+        odd = [s for f, s in segments if (f & at).bit_count() & 1]
+        if any((a & at).bit_count() & (b & at).bit_count() & 1 for a, b in links):
+            support = set().union(*[range(len(up))[s] for s in odd])
+            i = min(i for i in support if up[i] in support)
             u, v = sorted((order[i], order[up[i]]))
             raise AssertionError(f"adjacent Wu pair {u},{v}: not a plumbing tree?")
-        sols.append(_wu_vector(frozenset(map(order.__getitem__, support))))
-    sols.sort(key=lambda w: sorted(w.support))
+        sols.append(_wu_vector(frozenset(itertools.chain.from_iterable([order[s] for s in odd]))))
+    if k:
+        sols.sort(key=lambda w: sorted(w.support))
     return sols
 
 
@@ -671,8 +669,8 @@ def _tree(root, arms, start_id: int = 0) -> PlumbingGraph:
     builders' job).  The vertex at position i gets id ``start_id + i``, ids
     run along each arm, arm after arm, and every vertex comes after its
     parent, so the positions are a rooted order, stored as ``_rooted``
-    without a search.  Graphs from outside come through
-    ``PlumbingGraph.__init__`` instead.
+    without a search, the ids as a ``range``, whose slices cost one step.
+    Graphs from outside come through ``PlumbingGraph.__init__`` instead.
 
     Each maximal run of at least ``_MIN_RUN`` equal weights in an arm is
     stored in ``_runs`` as {bottom position: top position}, so that the
@@ -703,7 +701,7 @@ def _tree(root, arms, start_id: int = 0) -> PlumbingGraph:
                 runs[bottom] = top
             top = bottom + 1
     g = object.__new__(PlumbingGraph)
-    object.__setattr__(g, "_rooted", (list(range(start_id, start_id + len(weights))), weights, up))
+    object.__setattr__(g, "_rooted", (range(start_id, start_id + len(weights)), weights, up))
     if runs:
         object.__setattr__(g, "_runs", runs)
     return g

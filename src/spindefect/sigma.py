@@ -46,6 +46,7 @@ __all__ = [
 
 #: |sigma_trig - round(sigma_trig)| must stay below this, or we refuse to round.
 SIGMA_TRIG_TOL = 1e-6
+_MAX_RUN = 10**7  # the longest run of +-2 that ``_even_cf`` lists
 
 
 def sgn(x) -> int:
@@ -144,8 +145,10 @@ def _even_cf(p: int, q: int) -> tuple[int, ...]:
     when the run has at least two entries, 5|q| > 3|p|; a lone +-2 and
     every |a| >= 4 cost one division each.  So p/(p - 1), whose p - 1
     entries are all 2, takes one step; only the returned tuple is O(p).
-    A run of more than ``sys.maxsize`` entries cannot be listed and raises
-    ValueError naming its length.
+    A run of more than ``_MAX_RUN`` = 10**7 entries, ten times the longest
+    CI lists, raises ValueError naming its length before it is listed: list
+    and tuple take 16 bytes an entry (CPython 3.11, 64-bit) and a lens chain
+    over the run about 100 more, about 1 GB of an 8 GB machine at the bound.
     """
     entries = []
     while q != 0:
@@ -160,13 +163,12 @@ def _even_cf(p: int, q: int) -> tuple[int, ...]:
             raise AssertionError(f"even-quotient tie for {p}/{q}; input not coprime?")
         if (h == 1 or h == -1) and 5 * q > 3 * h * p:  # then h*p = |p|
             j = (3 * q - h * p - 1) // (2 * (h * p - q)) + 1
-            try:
-                entries.extend(itertools.repeat(2 * h, j))
-            except OverflowError:
+            if j > _MAX_RUN:
                 raise ValueError(
                     f"the even expansion has a run of {j} entries {2 * h}, "
                     "too many to list"
-                ) from None
+                )
+            entries.extend(itertools.repeat(2 * h, j))
             e = p - h * q
             p, q = p - j * e, q - h * j * e
         else:
@@ -222,11 +224,11 @@ def sigma(q: int, p: int, eps: int) -> int:
 
     The sign sum lists the expansion's entries and counts the negative
     ones in one C-level pass (``_sign_sum``), so it still costs O(p) on a
-    long run, and a pair whose expansion holds a run of more than
-    ``sys.maxsize`` entries raises ValueError from the expansion kernel
-    ``_even_cf``.  Such pairs wait for a sign sum taken run by run, without
-    listing the entries (ROADMAP item 3), which waits in turn on a
-    benchmark whose wall time is bounded (item 1).
+    long run, and a pair whose expansion holds a run of more than 10**7
+    entries raises ValueError from the expansion kernel ``_even_cf``.
+    Such pairs wait for a sign sum taken run by run, without listing the
+    entries (ROADMAP item 3), which waits in turn on a benchmark whose
+    wall time is bounded (item 1).
     """
     _check_args(q, p, eps)
     _check_spin_sign(q, p, eps)

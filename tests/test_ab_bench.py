@@ -24,16 +24,19 @@ def _runner():
     return module
 
 
-def _runs(workload, parent, change, failed=(0, 0)):
+def _runs(workload, parent, change, failed=(0, 0), wall=(30.0, 30.0)):
     """Records as ``run_once`` returns them: pair i holds parent[i] and
-    change[i] items per second, and the time per item they imply."""
+    change[i] items per second, and the time per item they imply; every
+    run of a side took ``wall`` seconds, or wall[side][i] when it is a
+    pair of lists."""
     runs = []
     for i, (p, c) in enumerate(zip(parent, change)):
-        for side, rate, bad in (("parent", p, failed[0]), ("change", c, failed[1])):
+        for side, rate, bad, took in (("parent", p, failed[0], wall[0]), ("change", c, failed[1], wall[1])):
             metrics = {"items_per_s": {"value": rate, "unit": "1/s"},
                        "item_p50_ms": {"value": 1e3 / rate, "unit": "ms"}}
             runs.append({"workload": workload, "pair": i, "side": side, "failed": bad,
-                         "attempted": 100, "metrics": metrics})
+                         "attempted": 100, "wall_s": took[i] if isinstance(took, list) else took,
+                         "metrics": metrics})
     return runs
 
 
@@ -92,3 +95,17 @@ def test_workloads_are_summarized_apart_and_unpaired_runs_are_left_out():
     assert "a: failed items parent 0, change 0" in text and "wins 2/2  within bound" in text
     with pytest.raises(ValueError):
         ab.verdict([], [], "higher", 0.25)
+
+
+def test_each_side_reports_its_median_wall_time():
+    ab = _runner()
+    parent_wall = [36.1, 36.6, 36.3, 50.0, 36.2]
+    change_wall = [40.3, 39.9, 40.6, 40.1, 90.0]
+    runs = _runs("w", [100] * 5, [110] * 5, wall=(parent_wall, change_wall))
+    rows = ab.summarize(runs, _SPEC)["w"]
+    # a median, so one slow run a side does not move it
+    assert rows["wall_s"] == {"parent": 36.3, "change": 40.3}
+    lines = ab.report({"w": rows}).splitlines()
+    assert lines[1] == "  wall_s       parent 36.3  change 40.3  (median run)"
+    # the wall time is no metric: it gets no verdict line of its own
+    assert sum("wall_s" in line for line in lines) == 1

@@ -81,9 +81,17 @@ def _kernel_pairs(draw):
 @given(_kernel_pairs())
 @example((2, 1))
 @example((-3, 2))
+@example((534774834313772, 267253656568013))  # a run of 1,110,046,380 twos
 def test_kernel_equals_the_checked_expansion(pq):
-    p, q = pq
-    assert _even_cf(p, q) == even_cf_expand(p, q)
+    # the outcomes agree: the expansion, or the error a run too long to
+    # list raises
+    def outcome(expand):
+        try:
+            return expand(*pq)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(_even_cf) == outcome(even_cf_expand)
 
 
 @pytest.mark.parametrize("p, q, message", [
@@ -94,6 +102,8 @@ def test_kernel_equals_the_checked_expansion(pq):
     (3, 4, "need |p| > |q|, got 3/4"),
     (1418743667764364333709519393452, 709016970533566768071940907347,
      "the even expansion has a run of 2610296979461915686707 entries 2, too many to list"),
+    (534774834313772, 267253656568013,
+     "the even expansion has a run of 1110046380 entries 2, too many to list"),
 ])
 def test_checked_expansion_keeps_its_errors(p, q, message):
     with pytest.raises(ValueError) as exc:

@@ -117,6 +117,9 @@ def test_exit_codes_for_input_errors(capsys):
     ("evencf", "1418743667764364333709519393452", "709016970533566768071940907347"),
     ("sigma", "709016970533566768071940907347", "1418743667764364333709519393452",
      "--eps", "-1"),
+    # a run of 1,110,046,380 twos, refused before it is listed
+    ("evencf", "534774834313772", "267253656568013"),
+    ("sigma", "267253656568013", "534774834313772", "--eps", "-1"),
 ])
 def test_a_run_too_long_to_list_exits_2(capsys, argv):
     rc, out, err = run(capsys, *argv)

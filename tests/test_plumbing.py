@@ -396,9 +396,9 @@ def test_wu_solutions_assert_no_support_vertex_is_next_to_its_parent(monkeypatch
     real = plumbing._wu_forms
 
     def forms(h):
-        x, k = real(h)
-        x[2] = x[1] = 1  # a vertex and its parent both carry eps = 1
-        return x, k
+        _, _, k = real(h)
+        # a vertex and its parent both carry eps = 1, and nothing else does
+        return [(1, slice(1, 3))], {(1, 1)}, k
 
     monkeypatch.setattr(plumbing, "_wu_forms", forms)
     with pytest.raises(AssertionError, match="adjacent Wu pair -5,300"):
@@ -573,9 +573,55 @@ def _wu_forms_by_vertex(g: PlumbingGraph) -> tuple[list[int], int]:
     return x, len(free)
 
 
+def _forms_by_vertex_with_links(g):
+    """(x, links, k) from ``_wu_forms_by_vertex``: links are the (vertex,
+    parent) pairs of forms with neither form 0, each pair sorted."""
+    x, k = _wu_forms_by_vertex(g)
+    up = g._rooted[2]
+    return x, {tuple(sorted((x[i], x[up[i]]))) for i in range(1, len(x)) if x[i] and x[up[i]]}, k
+
+
+def _forms_from_segments(g):
+    """``_wu_forms``' segments read back position by position, as (x,
+    links, k) with each link's pair sorted, 0 at a position no segment
+    covers: the nonempty segments come in the order of their first
+    positions, and none covers a position another covers."""
+    segments, links, k = _wu_forms(g)
+    positions = range(len(g))
+    x = [None] * len(g)
+    for f, s in segments:
+        for i in positions[s]:
+            assert x[i] is None, (i, segments)
+            x[i] = f
+    x = [f or 0 for f in x]
+    firsts = [s.start for _, s in segments if positions[s]]
+    assert firsts == sorted(firsts)
+    return x, {tuple(sorted(link)) for link in links}, k
+
+
 def _assert_run_steps_match(g):
     assert _tree_inertia(g) == _tree_inertia_by_vertex(g)
-    assert _wu_outcome(_wu_forms, g) == _wu_outcome(_wu_forms_by_vertex, g)
+    assert _wu_outcome(_forms_from_segments, g) == _wu_outcome(_forms_by_vertex_with_links, g)
+
+
+def _wu_solutions_by_sort(g: PlumbingGraph) -> list[WuVector]:
+    """``wu_solutions`` from the per-vertex forms: the positions are grouped
+    by their nonzero form once, by a sort, and a solution's support is the
+    union of the groups whose form is odd there.  The reference for the
+    segments of ``_wu_forms``."""
+    if len(g) == 0:
+        return [WuVector()]
+    order, _, up = g._rooted
+    x, k = _wu_forms_by_vertex(g)
+    by_form = sorted(itertools.compress(range(len(x)), x), key=x.__getitem__)
+    groups = [(f, list(at_f)) for f, at_f in itertools.groupby(by_form, x.__getitem__)]
+    sols = []
+    for free in range(1 << k):
+        at = free << 1 | 1  # the constant bit, then the free variables' values
+        support = set().union(*[at_f for f, at_f in groups if (f & at).bit_count() & 1])
+        assert support.isdisjoint(map(up.__getitem__, support))
+        sols.append(WuVector(map(order.__getitem__, support)))
+    return sorted(sols, key=lambda w: sorted(w.support))
 
 
 # even weights of both signs, which runs jump, among odd, zero and |w| < 2
@@ -626,6 +672,13 @@ def test_run_steps_match_the_per_vertex_passes(g):
     _assert_run_steps_match(g)
     if len(g) <= 40:
         assert _wu_outcome(wu_solutions, g) == _wu_outcome(_dense_wu_solutions, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_trees())
+def test_wu_solutions_match_the_sort_and_group_oracle(g):
+    # at any size: the oracle is linear in the tree, as the solve is
+    assert _wu_outcome(wu_solutions, g) == _wu_outcome(_wu_solutions_by_sort, g)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from spindefect.errors import NoSpinForm, PrecisionError
 from spindefect.seifert import LensSpace
 from spindefect.sigma import (
+    _even_cf,
     cf_eval,
     even_cf_expand,
     is_spin_sign_admissible,
@@ -18,6 +21,9 @@ from spindefect.sigma import (
 )
 
 from conftest import coprime_pairs, coprime_to, pairs_of
+
+# the module: the package's own ``sigma`` is the function
+sigma_module = importlib.import_module("spindefect.sigma")
 
 # Frozen against an independent 50-digit evaluation of the cot/csc sum
 # (mpmath); every entry agreed with the rounded high-precision value to
@@ -328,13 +334,34 @@ def test_expansion_rejects_bad_input():
 
 
 def test_a_run_too_long_to_list_raises_value_error():
-    # the expansion of this pair holds a run of about 2.6 * 10**21 twos,
-    # more than sys.maxsize: it is refused before the run is listed
-    p, q = 1418743667764364333709519393452, 709016970533566768071940907347
-    with pytest.raises(ValueError, match="run of 2610296979461915686707 entries 2"):
-        even_cf_expand(p, q)
-    with pytest.raises(ValueError, match="too many to list"):
-        sigma(q, p, -1)
+    # about 2.6 * 10**21 twos, more than sys.maxsize, and 1.1 * 10**9 twos,
+    # 18 GB as a list and a tuple: each is refused before it is listed, so
+    # that no call takes a megabyte
+    for p, q, run in ((1418743667764364333709519393452, 709016970533566768071940907347,
+                       2610296979461915686707),
+                      (534774834313772, 267253656568013, 1110046380)):
+        message = f"the even expansion has a run of {run} entries 2, too many to list"
+        tracemalloc.start()
+        try:
+            for call in (_even_cf, even_cf_expand, lambda p, q: sigma(q, p, -1)):
+                with pytest.raises(ValueError) as exc:
+                    call(p, q)
+                assert str(exc.value) == message
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+
+def test_a_run_at_the_listing_bound_is_listed(monkeypatch):
+    # (p + 1)/p is p twos and (p + 1)/-p p entries -2: at the bound they
+    # are listed, one more is refused; the bound is lowered so that nothing
+    # large is listed
+    monkeypatch.setattr(sigma_module, "_MAX_RUN", 5)
+    assert _even_cf(6, 5) == (2,) * 5 and _even_cf(6, -5) == (-2,) * 5
+    with pytest.raises(ValueError, match="run of 6 entries 2, too many to list"):
+        _even_cf(7, 6)
+    with pytest.raises(ValueError, match="run of 6 entries -2, too many to list"):
+        _even_cf(7, -6)
 
 
 def test_sign_sum_rule():

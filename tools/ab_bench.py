@@ -14,9 +14,10 @@ The run length defaults to ``run_seconds`` in the parent's
 from its ``end_to_end`` list.  Each tree runs its own ``bench/``, which a
 change that claims a gain leaves as it is.
 
-For each workload and metric the script prints each side's median and
-quartiles, how many pairs the change won (ties count for neither), and a
-verdict:
+For each workload the script prints each side's median wall time of a
+run, from start to exit of its process, and for each metric each side's
+median and quartiles, how many pairs the change won (ties count for
+neither), and a verdict:
 
 - ``gain``: over at least ten pairs, the change won at least nine tenths
   of them, and its median is better than the parent's by more than the
@@ -28,7 +29,8 @@ verdict:
   change reads better than every run of the parent, which is within bound;
 - ``beyond bound``: the change's median is worse by more than the bound.
 
-Failed items are counted per side.  Standard library only.
+Failed items are counted per side.  ``--out`` keeps every run's record,
+its wall time in seconds as ``wall_s``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -90,9 +93,10 @@ def verdict(parent, change, better: str, bound: float) -> dict:
 
 def summarize(runs, spec) -> dict:
     """{workload: {metric: verdict}} over ``runs``, a list of records
-    ``{"workload", "pair", "side", "failed", "metrics"}`` as ``run_once``
-    returns them, for every end-to-end metric of ``spec`` (a parsed
-    ``BENCHMARK.json``).  The runs of a workload are paired by ``pair``."""
+    ``{"workload", "pair", "side", "failed", "wall_s", "metrics"}`` as
+    ``run_once`` returns them, for every end-to-end metric of ``spec`` (a
+    parsed ``BENCHMARK.json``), with each side's failed items and median
+    wall time.  The runs of a workload are paired by ``pair``."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_pair = {}
@@ -105,6 +109,7 @@ def summarize(runs, spec) -> dict:
             values = {side: [p[side]["metrics"][m["name"]]["value"] for p in pairs] for side in SIDES}
             rows[m["name"]] = verdict(values["parent"], values["change"], m["better"], m["bound"])
         rows["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+        rows["wall_s"] = {side: statistics.median(p[side]["wall_s"] for p in pairs) for side in SIDES}
         out[workload] = rows
     return out
 
@@ -116,24 +121,28 @@ def _clear_pycache(tree: Path) -> None:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced ``bench/run.py`` run from ``tree``: its item counts and
-    metrics, read from the last line of its stdout."""
+    metrics, read from the last line of its stdout, and its wall time."""
     _clear_pycache(tree)
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True,
     )
+    wall_s = time.perf_counter() - start
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"failed": result["failed"], "attempted": result["attempted"], "metrics": result["metrics"]}
+    return {"failed": result["failed"], "attempted": result["attempted"], "wall_s": wall_s,
+            "metrics": result["metrics"]}
 
 
 def report(summary) -> str:
     lines = []
     for workload, rows in summary.items():
-        failed = rows["failed"]
+        failed, wall = rows["failed"], rows["wall_s"]
         lines.append(f"{workload}: failed items parent {failed['parent']}, change {failed['change']}")
+        lines.append(f"  {'wall_s':12s} parent {wall['parent']:.1f}  change {wall['change']:.1f}  (median run)")
         for name, row in rows.items():
-            if name == "failed":
+            if name in ("failed", "wall_s"):
                 continue
             p, c = row["parent"], row["change"]
             pct = "" if row["change_pct"] is None else f" {row['change_pct']:+.1f}%"
@@ -177,7 +186,8 @@ def main(argv=None) -> int:
                 run.update(workload=workload, pair=i, side=side, seed=args.seed + i)
                 runs.append(run)
                 print(f"{workload} pair {i} {side}: items_per_s "
-                      f"{run['metrics']['items_per_s']['value']:.1f}", file=sys.stderr, flush=True)
+                      f"{run['metrics']['items_per_s']['value']:.1f}, wall {run['wall_s']:.1f} s",
+                      file=sys.stderr, flush=True)
     summary = summarize(runs, spec)
     print(report(summary))
     if args.out is not None:

@@ -77,7 +77,7 @@ def tree_record(sd, make, validated=False):
     g, given = built if isinstance(built, tuple) else (built, None)
     order, weights, up = g._rooted
     rec = [
-        order, weights, up,
+        list(order), weights, up,  # a builder's ids are a range
         sorted({type(v).__name__ for v in (*order, *weights)}),
         list(g._runs.items()),
         sorted(g._odd),
