@@ -161,13 +161,15 @@ _CONST_ROWS = [
 _FAMILY_OF_A3 = {3: FAMILY_T, 4: FAMILY_O, 5: FAMILY_I}
 _A3_OF_FAMILY = {family: a3 for a3, family in _FAMILY_OF_A3.items()}
 
-# Two indexes of _CONST_ROWS, built once here and in table order: the rows
-# of each (family, t), which the classifier tries in turn, and the one row
-# of each (label, eps), which a case id names.
-_ROWS_OF_FAMILY_T: dict[tuple[str, int], list[_ConstRow]] = {}
-for _row in _CONST_ROWS:
-    _ROWS_OF_FAMILY_T.setdefault((_row.family, _row.t), []).append(_row)
-del _row
+# Two indexes of _CONST_ROWS, built once here and in table order: the one
+# row of each (family, t, c3, b3 mod 2*t*a3), which the classifier looks
+# up, and the one row of each (label, eps), which a case id names.  A row
+# without a c3 fits either label and goes in under both.
+_ROW_OF_RESIDUE = {
+    (row.family, row.t, c3, row.offset % (2 * row.t * row.a3)): row
+    for row in _CONST_ROWS
+    for c3 in ((0, 1) if row.c3 is None else (row.c3,))
+}
 _ROW_OF_LABEL = {(row.label, row.eps): row for row in _CONST_ROWS}
 
 
@@ -294,15 +296,20 @@ def _classify_polyhedral(fibers, a3: int, reversed_flag: bool) -> DeltaCaseId | 
         # carries; the swapped order is the one that fits
         second, third = third, second
         t, b3, c3 = _polyhedral_form(first, second, third)
-    family = _FAMILY_OF_A3[a3]
-    slope = 2 * t * a3
-    for row in _ROWS_OF_FAMILY_T[family, t]:
-        if row.c3 not in (None, c3):
-            continue
-        k, rem = divmod(b3 - row.offset, slope)
-        if rem == 0 and row.k_in_range(k):
-            return DeltaCaseId(family, row.label, row.params(k), reversed_flag)
-    return None
+    return _const_row_case(_FAMILY_OF_A3[a3], t, c3, b3, reversed_flag)
+
+
+def _const_row_case(family, t, c3, b3, reversed_flag) -> DeltaCaseId | None:
+    """The case of the (family, t) row with label c3 and b3 = 2*t*a3*k +
+    offset, k in its range, or None: b3's residue names the one candidate."""
+    slope = 2 * t * _A3_OF_FAMILY[family]
+    row = _ROW_OF_RESIDUE.get((family, t, c3, b3 % slope))
+    if row is None:
+        return None
+    k = (b3 - row.offset) // slope
+    if not row.k_in_range(k):
+        return None
+    return DeltaCaseId(family, row.label, row.params(k), reversed_flag)
 
 
 def _polyhedral_form(first, second, third) -> tuple[int, int, int]:

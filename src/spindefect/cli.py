@@ -79,8 +79,7 @@ def _emit(args, lines, payload) -> None:
 
 
 def _shape_from_args(args) -> FourManifoldShape:
-    sign = args.sign if args.sign is not None else args.bplus - args.bminus
-    return FourManifoldShape(args.bplus, args.bminus, sign)
+    return FourManifoldShape(args.bplus, args.bminus, args.bplus - args.bminus)
 
 
 def _lens_from_args(args) -> LensSpace | None:
@@ -526,8 +525,6 @@ def cmd_selftest(args) -> int:
 def _add_shape_flags(sub):
     sub.add_argument("--bplus", type=int, required=True)
     sub.add_argument("--bminus", type=int, required=True)
-    sub.add_argument("--sign", type=int, default=None,
-                     help="defaults to bplus - bminus")
 
 
 def _add_seifert_flags(sub, with_all=False):

@@ -83,10 +83,6 @@ class FourManifoldShape:
         m.__dict__.update(b_plus=self.b_minus, b_minus=self.b_plus, sign=-self.sign)
         return m
 
-    @property
-    def b_total(self) -> int:
-        return self.b_plus + self.b_minus
-
 
 @dataclass(frozen=True)
 class TenEighthsVerdict:

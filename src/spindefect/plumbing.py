@@ -67,7 +67,6 @@ the forms then repeat with period 2 up the run, two strided segments.
 from __future__ import annotations
 
 import itertools
-import math
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -496,17 +495,18 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
     own parent.  Any further zero child of that parent is then isolated and
     adds one to n_zero.
 
-    A run of weight w (``g._runs``), whose vertices each have one child, is
-    crossed in one step when its bottom's effective weight a/b has the sign
-    of w, with |a| >= |b| and |w| >= 2.  Then each vertex above has
-    |w - 1/x| >= |w| - 1 >= 1 and w's sign, so the m - 1 vertices strictly
-    between bottom and top (m = bottom - top) all count with w's sign, and
-    the top's (num, den) is (U_m a - U_{m-1} b, U_{m-1} a - U_{m-2} b),
-    exactly what the step (num, den) -> (w num - den, num) reaches in m
-    steps (``_run_continuants``).  A bottom that fails the test is followed
-    one vertex at a time.  Every run of a compiled arm passes it: each tail
-    of an even expansion exceeds 1 in absolute value and has the sign of
-    its first entry.
+    A run of weight w = +-2 (``g._runs``), whose vertices each have one
+    child, is crossed in one step when its bottom's effective weight a/b
+    has the sign of w, with |a| >= |b|.  Then each vertex above has
+    |w - 1/x| >= 1 and w's sign, so the m - 1 vertices strictly between
+    bottom and top (m = bottom - top) all count with w's sign, and the
+    top's (num, den) is (U_m a - U_{m-1} b, U_{m-1} a - U_{m-2} b), what m
+    steps (num, den) -> (w num - den, num) reach (``_run_continuants``).
+    Every run of +-2 in a compiled arm passes that test: each tail of an
+    even expansion exceeds 1 in absolute value and has the sign of its
+    first entry.  A run that fails it is followed one vertex at a time, as
+    is a run of any other weight, whose continuants cost as many steps as
+    its vertices, and which a compiled arm holds only short (``_even_cf``).
     """
     _, weights, up = g._rooted
     n = len(weights)
@@ -543,7 +543,7 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
             break
         stop = bottom
         a, b, w = num[bottom], den[bottom], weights[bottom]
-        if -2 < w < 2 or zero_children[bottom] or not a:
+        if w not in (2, -2) or zero_children[bottom] or not a:
             continue
         if ((a > 0) == (b > 0)) != (w > 0) or abs(a) < abs(b):
             continue
@@ -560,17 +560,12 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
 
 
 def _run_continuants(w: int, m: int) -> tuple[int, int, int]:
-    """(U_{m-2}, U_{m-1}, U_m) for m >= 1, where U_{-1} = 0, U_0 = 1 and
-    U_k = w U_{k-1} - U_{k-2}; U_k = (k + 1) (w/2)^k when w = +-2."""
+    """(U_{m-2}, U_{m-1}, U_m) for w = +-2 and m >= 1, where U_{-1} = 0,
+    U_0 = 1 and U_k = w U_{k-1} - U_{k-2}, so that U_k = (k + 1) (w/2)^k."""
     if w == 2:
         return m - 1, m, m + 1
-    if w == -2:
-        s = -1 if m & 1 else 1
-        return s * (m - 1), -s * m, s * (m + 1)
-    u0, u1 = 0, 1
-    for _ in range(m - 1):
-        u0, u1 = u1, w * u1 - u0
-    return u0, u1, w * u1 - u0
+    s = -1 if m & 1 else 1
+    return s * (m - 1), -s * m, s * (m + 1)
 
 
 class _Derived:
@@ -660,21 +655,22 @@ def blow_down(g: PlumbingGraph, w: WuVector, v: int) -> tuple[PlumbingGraph, lis
 # builders and compilation
 
 
-def _tree(root, arms, start_id: int = 0) -> PlumbingGraph:
+def _tree(root, arms) -> PlumbingGraph:
     """The tree of every builder, not re-validated: the root, then each arm
     as a chain hanging off it.
 
     ``root`` holds the root's weight, or nothing for the empty chain; each
     arm is a sequence of ints, taken as it is (``int()`` is the public
-    builders' job).  The vertex at position i gets id ``start_id + i``, ids
-    run along each arm, arm after arm, and every vertex comes after its
-    parent, so the positions are a rooted order, stored as ``_rooted``
-    without a search, the ids as a ``range``, whose slices cost one step.
-    Graphs from outside come through ``PlumbingGraph.__init__`` instead.
+    builders' job).  The vertex at position i gets id i, ids run along
+    each arm, arm after arm, and every vertex comes after its parent, so
+    the positions are a rooted order, stored as ``_rooted`` without a
+    search, the ids as a ``range``, whose slices cost one step.  Graphs
+    from outside come through ``PlumbingGraph.__init__`` instead.
 
     Each maximal run of at least ``_MIN_RUN`` equal weights in an arm is
     stored in ``_runs`` as {bottom position: top position}, so that the
-    passes can step over its interior (``_tree_inertia``, ``_wu_forms``).
+    passes can step over its interior: ``_wu_forms`` over a run of even
+    weight, ``_tree_inertia`` over a run of +-2.
     An arm of one weight throughout, as most compiled arms are, is found to
     be one run by ``list.count``; only a mixed arm is grouped.
     """
@@ -701,19 +697,18 @@ def _tree(root, arms, start_id: int = 0) -> PlumbingGraph:
                 runs[bottom] = top
             top = bottom + 1
     g = object.__new__(PlumbingGraph)
-    object.__setattr__(g, "_rooted", (range(start_id, start_id + len(weights)), weights, up))
+    object.__setattr__(g, "_rooted", (range(len(weights)), weights, up))
     if runs:
         object.__setattr__(g, "_runs", runs)
     return g
 
 
-def chain_graph(weights, start_id: int = 0) -> PlumbingGraph:
-    """Linear chain with consecutive ids from ``start_id``, in weight order;
-    its vertices below the root are one arm.  Each weight goes through
-    ``int()`` here, before ``_tree``, so numpy ints and booleans come out as
-    ints."""
+def chain_graph(weights) -> PlumbingGraph:
+    """Linear chain with consecutive ids from 0, in weight order; its
+    vertices below the root are one arm.  Each weight goes through ``int()``
+    here, before ``_tree``, so numpy ints and booleans come out as ints."""
     weights = list(map(int, weights))
-    return _tree(weights[:1], [weights[1:]], start_id)
+    return _tree(weights[:1], [weights[1:]])
 
 
 def star_graph(center_weight: int, arms) -> PlumbingGraph:

@@ -227,8 +227,9 @@ def sigma(q: int, p: int, eps: int) -> int:
     long run, and a pair whose expansion holds a run of more than 10**7
     entries raises ValueError from the expansion kernel ``_even_cf``.
     Such pairs wait for a sign sum taken run by run, without listing the
-    entries (ROADMAP item 3), which waits in turn on a benchmark whose
-    wall time is bounded (item 1).
+    entries, which waits in turn on a bound on the benchmark's wall time:
+    with items that cheap, its unbounded drawing and checking stretch a
+    run well past its nominal length.
     """
     _check_args(q, p, eps)
     _check_spin_sign(q, p, eps)
@@ -281,18 +282,18 @@ class TrigSum(NamedTuple):
     rounded: int
 
 
-def sigma_trig(q: int, p: int, eps: int, tol: float = SIGMA_TRIG_TOL) -> TrigSum:
+def sigma_trig(q: int, p: int, eps: int) -> TrigSum:
     """The defining trigonometric sum for sigma(q, p, eps), rounded.
 
     Computes (1/p) * sum_{k=1}^{|p|-1} [cot(pi k/p) cot(pi k q/p)
     + 2 eps**k csc(pi k/p) csc(pi k q/p)] after normalizing p > 0 via
     L(p, q) = L(|p|, sgn(p) q).  Compensated summation (math.fsum) keeps the
-    error far below ``tol`` for |p| up to a few hundred.
+    error far below ``SIGMA_TRIG_TOL`` for |p| up to a few hundred.
 
-    Raises PrecisionError when the sum is not within ``tol`` of an integer.
-    That is the expected outcome for the sign choices that do not label a
-    spin structure (p odd, eps = (-1)**q), where the sum is a non-integral
-    rational.
+    Raises PrecisionError, whose message carries the sum, when the sum is
+    not within ``SIGMA_TRIG_TOL`` of an integer.  That is the expected
+    outcome for the sign choices that do not label a spin structure (p odd,
+    eps = (-1)**q), where the sum is a non-integral rational.
     """
     _check_args(q, p, eps)
     if p < 0:
@@ -312,9 +313,9 @@ def sigma_trig(q: int, p: int, eps: int, tol: float = SIGMA_TRIG_TOL) -> TrigSum
         terms.append(cot + 2.0 * eps_k * csc)
     value = math.fsum(terms) / p
     rounded = round(value)
-    if abs(value - rounded) >= tol:
+    if abs(value - rounded) >= SIGMA_TRIG_TOL:
         raise PrecisionError(
             f"sigma_trig({q}, {p}, {eps:+d}) = {value!r} is not within "
-            f"{tol} of an integer"
+            f"{SIGMA_TRIG_TOL} of an integer"
         )
     return TrigSum(value, int(rounded))

@@ -84,7 +84,7 @@ def test_criterion_1_sigma_three_way(capfd):
                     if not is_spin_sign_admissible(q, p, eps):
                         continue
                     exact = sigma(q, p, eps)
-                    tr = sigma_trig(q, p, eps, tol=1e-6)
+                    tr = sigma_trig(q, p, eps)
                     assert tr.rounded == exact
                     assert abs(tr.value - exact) < 1e-6
                     if (p + q) % 2 == 1 and eps == -1:

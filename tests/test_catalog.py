@@ -1,3 +1,4 @@
+import itertools
 import types
 from fractions import Fraction
 
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 from spindefect.catalog import (
     _CONST_ROWS,
     _ROW_OF_LABEL,
-    _ROWS_OF_FAMILY_T,
+    _ROW_OF_RESIDUE,
     FAMILY_D,
     FAMILY_I,
     FAMILY_O,
     FAMILY_T,
     DeltaCaseId,
     _const_row,
+    _const_row_case,
     classify,
     delta,
     delta_table,
@@ -238,13 +240,41 @@ def test_classify_input_validation():
 
 
 def test_row_indexes_partition_the_table_in_order():
-    by_family_t = [row for rows in _ROWS_OF_FAMILY_T.values() for row in rows]
-    assert sorted(map(id, by_family_t)) == sorted(map(id, _CONST_ROWS))
-    for (family, t), rows in _ROWS_OF_FAMILY_T.items():
-        assert list(rows) == [r for r in _CONST_ROWS if (r.family, r.t) == (family, t)]
+    # one row per (family, t, c3, b3 mod 2*t*a3): no two rows share a key,
+    # and a row without c3 is under both labels, in table order
+    entries = [((r.family, r.t, c3, r.offset % (2 * r.t * r.a3)), r)
+               for r in _CONST_ROWS for c3 in ((0, 1) if r.c3 is None else (r.c3,))]
+    assert len({key for key, _ in entries}) == len(entries)
+    assert [(key, id(r)) for key, r in entries] == [(key, id(r)) for key, r in _ROW_OF_RESIDUE.items()]
     # one row per (label, eps), in table order
     assert list(_ROW_OF_LABEL) == [(r.label, r.eps) for r in _CONST_ROWS]
     assert all(a is b for a, b in zip(_ROW_OF_LABEL.values(), _CONST_ROWS))
+
+
+def _const_row_case_by_loop(family, t, c3, b3, reversed_flag):
+    """The classifier's last search before the residue index: the rows of
+    (family, t) in table order, one division each."""
+    slope = 2 * t * {FAMILY_T: 3, FAMILY_O: 4, FAMILY_I: 5}[family]
+    for row in _CONST_ROWS:
+        if (row.family, row.t) != (family, t) or row.c3 not in (None, c3):
+            continue
+        k, rem = divmod(b3 - row.offset, slope)
+        if rem == 0 and row.k_in_range(k):
+            return DeltaCaseId(family, row.label, row.params(k), reversed_flag)
+    return None
+
+
+def test_residue_lookup_matches_the_row_loop():
+    found = set()
+    for family, t, c3, reversed_flag in itertools.product(
+            (FAMILY_T, FAMILY_O, FAMILY_I), (1, -1), (0, 1), (False, True)):
+        for b3 in range(-150, 151):
+            case = _const_row_case(family, t, c3, b3, reversed_flag)
+            assert case == _const_row_case_by_loop(family, t, c3, b3, reversed_flag), (family, t, c3, b3)
+            if case is not None:
+                found.add((case.row, case.params.get("eps")))
+    # the grid reaches every row
+    assert found == set(_ROW_OF_LABEL)
 
 
 def _const_row_by_scan(label, eps):

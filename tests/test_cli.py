@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import shlex
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -44,8 +46,7 @@ def test_delta_all_spin_verbatim(capsys):
 
 
 def test_rp2_verbatim(capsys):
-    rc, out, _ = run(capsys, "rp2", "--bplus", "0", "--bminus", "0",
-                     "--sign", "0", "--euler", "2")
+    rc, out, _ = run(capsys, "rp2", "--bplus", "0", "--bminus", "0", "--euler", "2")
     assert rc == 0
     assert "e = 2 admissible for eps in {-1}" in out
     assert "forces e in [-2, 2]" in out
@@ -98,8 +99,6 @@ def test_exit_codes_for_input_errors(capsys):
         ("delta", "--seifert", "(2,1),(3,1)(5,-4)", "--all-spin"),  # syntax
         ("delta", "--lens", "8", "3"),            # p even needs --eps
         *not_coprime,
-        ("feasible", "--bplus", "1", "--bminus", "0", "--sign", "0",
-         "--delta", "0"),                         # sign inconsistent
         ("char-sphere", "--bplus", "0", "--bminus", "1", "--square", "2"),
         ("plumbing", "--star", "(-2; nope)"),
         ("delta", "--seifert", "(2,1),(3,1),(5,-4)", "--spin", "0,0,0"),
@@ -186,14 +185,12 @@ def test_argparse_errors_also_exit_2(capsys):
 
 
 def test_obstructed_exit_codes(capsys):
-    rc, *_ = run(capsys, "feasible", "--bplus", "0", "--bminus", "24",
-                 "--sign", "-24", "--delta", "-8")
+    rc, *_ = run(capsys, "feasible", "--bplus", "0", "--bminus", "24", "--delta", "-8")
     assert rc == 1
     rc, *_ = run(capsys, "cobordism", "--seifert", "(2,1),(3,1),(5,-4)",
                  "--spin", "1,1,0")
     assert rc == 1
-    rc, *_ = run(capsys, "rp2", "--bplus", "0", "--bminus", "0",
-                 "--sign", "0", "--euler", "10")
+    rc, *_ = run(capsys, "rp2", "--bplus", "0", "--bminus", "0", "--euler", "10")
     assert rc == 1
     rc, *_ = run(capsys, "char-sphere", "--bplus", "2", "--bminus", "0",
                  "--square", "18")
@@ -215,13 +212,15 @@ def test_json_deterministic(capsys):
 
 def test_feasible_json_roundtrip(capsys):
     rc, doc, _ = run_json(capsys, "feasible", "--bplus", "0", "--bminus", "8",
-                          "--sign", "-8", "--delta", "-8")
+                          "--delta", "-8")
     assert rc == 0 and doc["status"] == "ForcedEqual"
     spec = doc["input"]
+    # the echoed sign is the shape's b_plus - b_minus, not an input of its own
+    assert spec["sign"] == spec["b_plus"] - spec["b_minus"]
     rc2, doc2, _ = run_json(
         capsys, "feasible",
         "--bplus", str(spec["b_plus"]), "--bminus", str(spec["b_minus"]),
-        "--sign", str(spec["sign"]), "--delta", str(spec["delta"]),
+        "--delta", str(spec["delta"]),
     )
     assert rc2 == rc and doc2 == doc
 
@@ -250,6 +249,23 @@ def test_definite_has_no_scan_limit(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage:")
     assert "unrecognized arguments: --scan-limit 5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("feasible", "--bplus", "0", "--bminus", "24", "--delta", "-8"),
+    ("rp2", "--bplus", "0", "--bminus", "0", "--euler", "2"),
+    ("char-sphere", "--bplus", "2", "--bminus", "0", "--square", "18"),
+])
+def test_shape_commands_take_no_sign(capsys, argv):
+    # the signature is b_plus - b_minus, so no flag sets it: --sign is a
+    # usage error at any value, b_plus - b_minus among them
+    for sign in ("-24", "0", "2", "5"):
+        with pytest.raises(SystemExit) as usage:
+            main([*argv, "--sign", sign])
+        assert usage.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage:")
+        assert f"unrecognized arguments: --sign {sign}" in err
 
 
 def test_plumbing_star_and_wu(capsys):
@@ -392,6 +408,33 @@ def test_selftest_passes(capsys):
     assert "sigma three-way" in out
 
 
+_README = Path(__file__).resolve().parent.parent / "README.md"
+_ECHO_EXIT = ' ; echo "exit $?"'
+
+
+def _readme_cli_examples():
+    """(argv, stdout, exit code) of each ``$ spindefect ...`` line of the
+    README's "Command line" block; a line that ends in ``; echo "exit $?"``
+    states its exit code last, any other exits 0."""
+    block = _README.read_text().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for example in block.split("$ spindefect ")[1:]:
+        command, *lines = example.rstrip("\n").split("\n")
+        code = 0
+        if command.endswith(_ECHO_EXIT):
+            command = command[:-len(_ECHO_EXIT)]
+            code = int(lines.pop().removeprefix("exit "))
+        examples.append((shlex.split(command), "".join(f"{line}\n" for line in lines), code))
+    return examples
+
+
+def test_readme_cli_examples_match_the_cli(capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) >= 5
+    for argv, out, code in examples:
+        assert run(capsys, *argv)[:2] == (code, out), argv
+
+
 _DEEP = "[" * 200000 + "]" * 200000
 
 
@@ -494,11 +537,11 @@ _FLAGS = {
     "delta": ([_space], _space_flags + [_SPACE_FLAGS["--all-spin"]]),
     "plumbing": ([], [_flag("--star", _star), st.just(["--graph", "-"]), _flag("--wu", _bits)]),
     "seifert-to-plumbing": ([_space], _space_flags),
-    "feasible": (_shape + [_flag("--delta", _int)], [_flag("--sign", _int)]),
+    "feasible": (_shape + [_flag("--delta", _int)], []),
     "definite": ([_flag("--delta", _int)], []),
     "cobordism": ([_space], _space_flags),
-    "rp2": (_shape + [_flag("--euler", _int)], [_flag("--sign", _int)]),
-    "char-sphere": (_shape + [_flag("--square", _int)], [_flag("--sign", _int)]),
+    "rp2": (_shape + [_flag("--euler", _int)], []),
+    "char-sphere": (_shape + [_flag("--square", _int)], []),
     "selftest": ([], []),
 }
 

@@ -32,7 +32,6 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         FourManifoldShape(2, 3, 0)  # sign must equal b_plus - b_minus
     assert FourManifoldShape(2, 3, -1).mirror() == FourManifoldShape(3, 2, 1)
-    assert FourManifoldShape(2, 3, -1).b_total == 5
 
 
 def test_verdict_trichotomy():

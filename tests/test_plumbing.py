@@ -234,16 +234,12 @@ def random_trees(draw, max_vertices=14, weight=st.integers(-3, 3)):
     )
 
 
-@settings(max_examples=400, deadline=None)
-@given(random_trees())
-def test_tree_inertia_matches_dense_signature(g):
+def _check_tree_inertia_matches_dense_signature(g):
     # weight 0 makes zero effective weights common: the hyperbolic branch
     assert _tree_inertia(g) == signature(intersection_matrix(g))
 
 
-@settings(max_examples=200, deadline=None)
-@given(random_trees(), st.data())
-def test_local_wu_check_matches_dense_product(g, data):
+def _check_local_wu_check_matches_dense_product(g, data):
     support = data.draw(st.sets(st.sampled_from(g.ids)))
     m = intersection_matrix(g)
     bits = WuVector(support).as_bits(g)
@@ -258,6 +254,14 @@ def test_local_wu_check_matches_dense_product(g, data):
         x = w.as_bits(g)
         w_m_w = sum(x[i] * m[i][j] * x[j] for i in range(len(g)) for j in range(len(g)))
         assert plumbing_delta(g, w) == plus - minus - w_m_w
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_trees(), st.data())
+def test_tree_inertia_matches_dense_signature(g, data):
+    # one draw of random_trees() for each dense oracle
+    _check_tree_inertia_matches_dense_signature(g)
+    _check_local_wu_check_matches_dense_product(g, data)
 
 
 def test_tree_inertia_fixtures():
@@ -352,9 +356,7 @@ def _wu_outcome(solve, g):
 _WU_WEIGHTS = st.sampled_from((-3, -2, -2, -1, 0, 0, 0, 1, 2, 2, 3))
 
 
-@settings(max_examples=300, deadline=None)
-@given(random_trees(max_vertices=18, weight=_WU_WEIGHTS))
-def test_wu_solutions_match_the_dense_gf2_solve(g):
+def _check_wu_solutions_match_the_dense_gf2_solve(g):
     assert _wu_outcome(wu_solutions, g) == _wu_outcome(_dense_wu_solutions, g)
 
 
@@ -641,7 +643,7 @@ def run_arms(draw, max_blocks=5):
 def run_trees(draw):
     """Builder trees, chains and stars, whose arms hold runs."""
     if draw(st.booleans()):
-        return chain_graph(draw(run_arms(max_blocks=7)), draw(st.integers(-3, 3)))
+        return chain_graph(draw(run_arms(max_blocks=7)))
     return star_graph(draw(_RUN_WEIGHTS), draw(st.lists(run_arms(), max_size=4)))
 
 
@@ -666,31 +668,18 @@ def _runs_by_scan(g):
     return runs
 
 
-@settings(max_examples=400, deadline=None)
-@given(run_trees())
-def test_run_steps_match_the_per_vertex_passes(g):
+def _check_run_steps_match_the_per_vertex_passes(g):
     _assert_run_steps_match(g)
     if len(g) <= 40:
         assert _wu_outcome(wu_solutions, g) == _wu_outcome(_dense_wu_solutions, g)
 
 
-@settings(max_examples=300, deadline=None)
-@given(run_trees())
-def test_wu_solutions_match_the_sort_and_group_oracle(g):
+def _check_wu_solutions_match_the_sort_and_group_oracle(g):
     # at any size: the oracle is linear in the tree, as the solve is
     assert _wu_outcome(wu_solutions, g) == _wu_outcome(_wu_solutions_by_sort, g)
 
 
-@settings(max_examples=300, deadline=None)
-@given(run_trees())
-# arms of one weight throughout, of 2, 3 and 4 vertices, and arms equal but
-# for their last entry
-@example(star_graph(-2, [[2, 2], [2, 2, 2], [-2] * 4, [4] * 3 + [2], [2, 2, 4]]))
-@example(chain_graph([7, 2, 2]))
-@example(chain_graph([7, -2, -2, -2]))
-@example(chain_graph(np.array([1, 4, 4, 4, 4])))
-@example(chain_graph([0, -2, -2, -2, -2, 3]))
-def test_builders_record_every_run(g):
+def _check_builders_record_every_run(g):
     # each run is a chain from parent to child, stored bottom first in
     # ascending order, so that the passes can take them in either direction
     runs = g._runs
@@ -701,11 +690,34 @@ def test_builders_record_every_run(g):
         assert all(up[i] == i - 1 and weights[i] == weights[top] for i in range(top + 1, bottom + 1))
 
 
-@settings(max_examples=200, deadline=None)
-@given(random_trees(max_vertices=18, weight=_WU_WEIGHTS))
-def test_validated_graphs_have_no_runs(g):
+@settings(max_examples=400, deadline=None)
+@given(run_trees())
+# arms of one weight throughout, of 2, 3 and 4 vertices, and arms equal but
+# for their last entry
+@example(star_graph(-2, [[2, 2], [2, 2, 2], [-2] * 4, [4] * 3 + [2], [2, 2, 4]]))
+@example(chain_graph([7, 2, 2]))
+@example(chain_graph([7, -2, -2, -2]))
+@example(chain_graph(np.array([1, 4, 4, 4, 4])))
+@example(chain_graph([0, -2, -2, -2, -2, 3]))
+def test_run_steps_match_the_per_vertex_passes(g):
+    # one draw of run_trees() for the runs' record and every oracle of the
+    # passes that step over them
+    _check_builders_record_every_run(g)
+    _check_run_steps_match_the_per_vertex_passes(g)
+    _check_wu_solutions_match_the_sort_and_group_oracle(g)
+
+
+def _check_validated_graphs_have_no_runs(g):
     assert g._runs == {}
     _assert_run_steps_match(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_trees(max_vertices=18, weight=_WU_WEIGHTS))
+def test_wu_solutions_match_the_dense_gf2_solve(g):
+    # one draw of these validated trees for the dense solve and the run steps
+    _check_wu_solutions_match_the_dense_gf2_solve(g)
+    _check_validated_graphs_have_no_runs(g)
 
 
 def _odd_by_low_bits(g):
@@ -746,8 +758,8 @@ def test_run_steps_at_the_edges():
 
 def test_run_continuants_follow_the_recurrence():
     # a run step hands its top the per-vertex loop's own unreduced
-    # (num, den), not just their ratio
-    for w in range(-5, 6):
+    # (num, den), not just their ratio; only runs of +-2 are stepped over
+    for w in (2, -2):
         u = [0, 1]  # U_{-1}, U_0
         for m in range(1, 40):
             u.append(w * u[-1] - u[-2])
@@ -935,7 +947,7 @@ def test_compiled_trees_hold_python_ints(monkeypatch):
         assert all(type(w) is int for w in g._rooted[1])
     # the public builders turn numpy ints and booleans into ints
     bits = np.array([True, False, True, True, True])
-    for g in (chain_graph(np.array([-3, 2, 2, 2])), chain_graph(bits, start_id=np.int64(5)),
+    for g in (chain_graph(np.array([-3, 2, 2, 2])), chain_graph(bits),
               star_graph(np.int32(-2), [np.array([2, 2, 2]), bits]), parse_star("(-2; 2,2,2; 1)")):
         assert all(type(w) is int for w in g._rooted[1])
         assert all(type(i) is int for i in g._rooted[0])
@@ -1001,11 +1013,11 @@ def _assert_same_graph(g, h):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-5, 5), max_size=20), st.integers(-3, 3))
-def test_chain_graph_matches_the_validating_constructor(weights, start_id):
-    ids = range(start_id, start_id + len(weights))
+@given(st.lists(st.integers(-5, 5), max_size=20))
+def test_chain_graph_matches_the_validating_constructor(weights):
+    ids = range(len(weights))
     _assert_same_graph(
-        chain_graph(np.array(weights, dtype=np.int64), start_id),
+        chain_graph(np.array(weights, dtype=np.int64)),
         PlumbingGraph(list(zip(ids, weights)), [(i, i + 1) for i in ids[:-1]]),
     )
 

@@ -135,11 +135,10 @@ def builder_stars(sd, rng):
 
 
 def builder_chains(sd, rng):
-    """Random ``chain_graph`` trees with a nonzero ``start_id``."""
+    """Random ``chain_graph`` trees."""
     for _ in range(RANDOM_TREES):
         weights = _run_arm(rng, 6)
-        start = rng.choice([s for s in range(-40, 41) if s])
-        yield lambda weights=weights, start=start: sd.plumbing.chain_graph(weights, start)
+        yield lambda weights=weights: sd.plumbing.chain_graph(weights)
 
 
 def validated_trees(sd, rng):
@@ -423,15 +422,15 @@ CLI_ROUTE_FIXTURES = [
     (["cobordism", "--seifert", _POINCARE, "--spin", "1,1,0"], ""),
     (["cobordism", "--seifert", "(2,1),(2,1),(4,1)", "--spin", "0,0,0"], ""),
     (["cobordism", "--lens", "7", "3"], ""),
-    (["feasible", "--bplus", "1", "--bminus", "0", "--sign", "0", "--delta", "0"], ""),
+    (["feasible", "--bplus", "0", "--bminus", "24", "--delta", "-8"], ""),
     (["feasible", "--bplus", "0", "--bminus", "24", "--sign", "-24", "--delta", "-8"], ""),
-    (["feasible", "--bplus", "0", "--bminus", "8", "--sign", "-8", "--delta", "-8"], ""),
+    (["feasible", "--bplus", "0", "--bminus", "8", "--delta", "-8"], ""),
     (["definite", "--delta", "26"], ""),
     (["definite", "--delta", "-8"], ""),
     (["definite", "--delta", "4", "--scan-limit", "-1"], ""),
     (["definite", "--delta", "26", "--scan-limit", "10000"], ""),
-    (["rp2", "--bplus", "0", "--bminus", "0", "--sign", "0", "--euler", "2"], ""),
-    (["rp2", "--bplus", "0", "--bminus", "0", "--sign", "0", "--euler", "10"], ""),
+    (["rp2", "--bplus", "0", "--bminus", "0", "--euler", "2"], ""),
+    (["rp2", "--bplus", "0", "--bminus", "0", "--euler", "10"], ""),
     (["char-sphere", "--bplus", "0", "--bminus", "1", "--square", "2"], ""),
     (["char-sphere", "--bplus", "2", "--bminus", "0", "--square", "18"], ""),
 ]
