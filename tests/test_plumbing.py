@@ -234,12 +234,16 @@ def random_trees(draw, max_vertices=14, weight=st.integers(-3, 3)):
     )
 
 
-def _check_tree_inertia_matches_dense_signature(g):
+@settings(max_examples=400, deadline=None)
+@given(random_trees())
+def test_tree_inertia_matches_dense_signature(g):
     # weight 0 makes zero effective weights common: the hyperbolic branch
     assert _tree_inertia(g) == signature(intersection_matrix(g))
 
 
-def _check_local_wu_check_matches_dense_product(g, data):
+@settings(max_examples=200, deadline=None)
+@given(random_trees(), st.data())
+def test_local_wu_check_matches_dense_product(g, data):
     support = data.draw(st.sets(st.sampled_from(g.ids)))
     m = intersection_matrix(g)
     bits = WuVector(support).as_bits(g)
@@ -254,14 +258,6 @@ def _check_local_wu_check_matches_dense_product(g, data):
         x = w.as_bits(g)
         w_m_w = sum(x[i] * m[i][j] * x[j] for i in range(len(g)) for j in range(len(g)))
         assert plumbing_delta(g, w) == plus - minus - w_m_w
-
-
-@settings(max_examples=400, deadline=None)
-@given(random_trees(), st.data())
-def test_tree_inertia_matches_dense_signature(g, data):
-    # one draw of random_trees() for each dense oracle
-    _check_tree_inertia_matches_dense_signature(g)
-    _check_local_wu_check_matches_dense_product(g, data)
 
 
 def test_tree_inertia_fixtures():
@@ -356,7 +352,9 @@ def _wu_outcome(solve, g):
 _WU_WEIGHTS = st.sampled_from((-3, -2, -2, -1, 0, 0, 0, 1, 2, 2, 3))
 
 
-def _check_wu_solutions_match_the_dense_gf2_solve(g):
+@settings(max_examples=300, deadline=None)
+@given(random_trees(max_vertices=18, weight=_WU_WEIGHTS))
+def test_wu_solutions_match_the_dense_gf2_solve(g):
     assert _wu_outcome(wu_solutions, g) == _wu_outcome(_dense_wu_solutions, g)
 
 
@@ -668,18 +666,31 @@ def _runs_by_scan(g):
     return runs
 
 
-def _check_run_steps_match_the_per_vertex_passes(g):
+@settings(max_examples=400, deadline=None)
+@given(run_trees())
+def test_run_steps_match_the_per_vertex_passes(g):
     _assert_run_steps_match(g)
     if len(g) <= 40:
         assert _wu_outcome(wu_solutions, g) == _wu_outcome(_dense_wu_solutions, g)
 
 
-def _check_wu_solutions_match_the_sort_and_group_oracle(g):
+@settings(max_examples=300, deadline=None)
+@given(run_trees())
+def test_wu_solutions_match_the_sort_and_group_oracle(g):
     # at any size: the oracle is linear in the tree, as the solve is
     assert _wu_outcome(wu_solutions, g) == _wu_outcome(_wu_solutions_by_sort, g)
 
 
-def _check_builders_record_every_run(g):
+@settings(max_examples=300, deadline=None)
+@given(run_trees())
+# arms of one weight throughout, of 2, 3 and 4 vertices, and arms equal but
+# for their last entry
+@example(star_graph(-2, [[2, 2], [2, 2, 2], [-2] * 4, [4] * 3 + [2], [2, 2, 4]]))
+@example(chain_graph([7, 2, 2]))
+@example(chain_graph([7, -2, -2, -2]))
+@example(chain_graph(np.array([1, 4, 4, 4, 4])))
+@example(chain_graph([0, -2, -2, -2, -2, 3]))
+def test_builders_record_every_run(g):
     # each run is a chain from parent to child, stored bottom first in
     # ascending order, so that the passes can take them in either direction
     runs = g._runs
@@ -690,34 +701,11 @@ def _check_builders_record_every_run(g):
         assert all(up[i] == i - 1 and weights[i] == weights[top] for i in range(top + 1, bottom + 1))
 
 
-@settings(max_examples=400, deadline=None)
-@given(run_trees())
-# arms of one weight throughout, of 2, 3 and 4 vertices, and arms equal but
-# for their last entry
-@example(star_graph(-2, [[2, 2], [2, 2, 2], [-2] * 4, [4] * 3 + [2], [2, 2, 4]]))
-@example(chain_graph([7, 2, 2]))
-@example(chain_graph([7, -2, -2, -2]))
-@example(chain_graph(np.array([1, 4, 4, 4, 4])))
-@example(chain_graph([0, -2, -2, -2, -2, 3]))
-def test_run_steps_match_the_per_vertex_passes(g):
-    # one draw of run_trees() for the runs' record and every oracle of the
-    # passes that step over them
-    _check_builders_record_every_run(g)
-    _check_run_steps_match_the_per_vertex_passes(g)
-    _check_wu_solutions_match_the_sort_and_group_oracle(g)
-
-
-def _check_validated_graphs_have_no_runs(g):
+@settings(max_examples=200, deadline=None)
+@given(random_trees(max_vertices=18, weight=_WU_WEIGHTS))
+def test_validated_graphs_have_no_runs(g):
     assert g._runs == {}
     _assert_run_steps_match(g)
-
-
-@settings(max_examples=300, deadline=None)
-@given(random_trees(max_vertices=18, weight=_WU_WEIGHTS))
-def test_wu_solutions_match_the_dense_gf2_solve(g):
-    # one draw of these validated trees for the dense solve and the run steps
-    _check_wu_solutions_match_the_dense_gf2_solve(g)
-    _check_validated_graphs_have_no_runs(g)
 
 
 def _odd_by_low_bits(g):

@@ -87,7 +87,11 @@ def test_euler_numerator_matches_the_fraction_sum(pairs):
         assert euler_number(s) == e != 0
 
 
-def _check_spherical_shape_is_recorded_once(s):
+@settings(max_examples=300, deadline=None)
+@given(seifert_data())
+@example(SeifertData([(2, 1), (2, 1), (7, 1)]))
+@example(SeifertData([(1, 1), (2, 1), (3, 1)]))  # an a = 1 fiber: not three singular
+def test_spherical_shape_is_recorded_once(s):
     mults = sorted(a for a, _ in s)
     expected = len(mults) == 3 and mults[0] >= 2 and _platonic(mults)
     assert s.is_spherical_candidate() is expected
@@ -98,7 +102,11 @@ def _check_spherical_shape_is_recorded_once(s):
     assert repr(s) == f"SeifertData(pairs={s.pairs!r})"
 
 
-def _check_euler_numerator_is_recorded_once(s):
+@settings(max_examples=300, deadline=None)
+@given(seifert_data())
+@example(SeifertData([(2, 1), (3, 1), (5, -4)]))  # |H_1| = 1
+@example(SeifertData([(2, -1), (3, -1), (5, 4)]))  # e > 0
+def test_euler_numerator_is_recorded_once(s):
     assert s._euler == _euler_numerator(s.pairs) != 0
     # the recorded numerator stays out of ==, hash and repr
     twin = SeifertData(s.pairs)
@@ -146,36 +154,26 @@ def _spin_enumerate_by_filtering(s):
     return out
 
 
-def _check_spin_enumerate_matches_the_filtered_product(s):
+@settings(max_examples=400, deadline=None)
+@given(seifert_data())
+@example(SeifertData([(1, 1), (3, 1), (5, 2)]))  # all odd: c(h) = 1 and c(h) = 0
+@example(SeifertData([(1, 2), (3, 1), (5, 2)]))  # all odd, odd b-sum: c(h) = 1 only
+@example(SeifertData([(3, 1), (5, -2)]))
+def test_spin_enumerate_matches_the_filtered_product(s):
     expected = _spin_enumerate_by_filtering(s)
     assert expected  # every valid space is spin
     assert spin_enumerate(s) == expected
 
 
-def _check_spin_enumerate_builds_what_the_constructor_builds(s):
+@settings(max_examples=300, deadline=None)
+@given(seifert_data())
+@example(SeifertData([(1, 1), (3, 1), (5, 2)]))  # all odd: c(h) = 1 and c(h) = 0
+def test_spin_enumerate_builds_what_the_constructor_builds(s):
     for c in spin_enumerate(s):
         assert c == SpinAssignment(c.cg, c.ch)
         assert hash(c) == hash(SpinAssignment(c.cg, c.ch))
         assert type(c.cg) is tuple and all(type(x) is int for x in c.cg)
         assert type(c.ch) is int
-
-
-@settings(max_examples=400, deadline=None)
-@given(seifert_data())
-@example(SeifertData([(2, 1), (2, 1), (7, 1)]))
-@example(SeifertData([(1, 1), (2, 1), (3, 1)]))  # an a = 1 fiber: not three singular
-@example(SeifertData([(2, 1), (3, 1), (5, -4)]))  # |H_1| = 1
-@example(SeifertData([(2, -1), (3, -1), (5, 4)]))  # e > 0
-@example(SeifertData([(1, 1), (3, 1), (5, 2)]))  # all odd: c(h) = 1 and c(h) = 0
-@example(SeifertData([(1, 2), (3, 1), (5, 2)]))  # all odd, odd b-sum: c(h) = 1 only
-@example(SeifertData([(3, 1), (5, -2)]))
-def test_spin_enumerate_matches_the_filtered_product(s):
-    # one draw of seifert_data() for the recorded fields and both spin
-    # enumeration oracles
-    _check_spherical_shape_is_recorded_once(s)
-    _check_euler_numerator_is_recorded_once(s)
-    _check_spin_enumerate_matches_the_filtered_product(s)
-    _check_spin_enumerate_builds_what_the_constructor_builds(s)
 
 
 def test_shift_move_transport():
