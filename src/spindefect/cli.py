@@ -20,6 +20,7 @@ from .catalog import DeltaCaseId, classify, delta, instantiate_case, iter_cases
 from .errors import InternalDisagreement, SpinDefectError
 from .obstruction import (
     FourManifoldShape,
+    _shape_json,
     _sphere_assembly,
     characteristic_sphere_check,
     cobordism_order_certificate,
@@ -283,8 +284,7 @@ def cmd_feasible(args) -> int:
     verdict = spin_filling_feasible(y, args.delta)
     report = verdict_report(
         verdict,
-        input={"b_plus": y.b_plus, "b_minus": y.b_minus, "sign": y.sign,
-               "delta": args.delta},
+        input=_shape_json(y, delta=args.delta),
         assembled_shape=assembled,
         delta=args.delta,
     )
@@ -304,9 +304,7 @@ def cmd_definite(args) -> int:
     lines = [f"delta = {res.delta}: {res.summary}"]
     ce = None
     if res.counterexample is not None:
-        ce = {"b_plus": res.counterexample.b_plus,
-              "b_minus": res.counterexample.b_minus,
-              "sign": res.counterexample.sign}
+        ce = _shape_json(res.counterexample)
         lines.append(
             f"surviving definite shape with sign != delta: "
             f"(b+ = {ce['b_plus']}, b- = {ce['b_minus']})"
@@ -355,8 +353,7 @@ def cmd_rp2(args) -> int:
     if res.forced_e is not None:
         lines.append(f"shape forces e in {sorted(res.forced_e)}")
     _emit(args, lines, {
-        "input": {"b_plus": x.b_plus, "b_minus": x.b_minus, "sign": x.sign,
-                  "euler": args.euler},
+        "input": _shape_json(x, euler=args.euler),
         "admissible_eps": sorted(res.admissible_eps),
         "forced_e": sorted(res.forced_e) if res.forced_e is not None else None,
         "verdicts": {str(eps): {"status": str(v.status), "ind": v.ind,
@@ -372,8 +369,7 @@ def cmd_char_sphere(args) -> int:
     verdict = ten_eighths_verdict(assembled, delta_total)
     report = verdict_report(
         verdict,
-        input={"b_plus": x.b_plus, "b_minus": x.b_minus, "sign": x.sign,
-               "square": args.square},
+        input=_shape_json(x, square=args.square),
         assembled_shape=assembled,
         delta=delta_total,
     )
@@ -500,21 +496,19 @@ def cmd_selftest(args) -> int:
         ("negative-definite resolutions", _selftest_resolutions),
         ("ten-eighths applications", _selftest_obstruction),
     ]
-    results = []
-    failed = False
+    results, lines = [], []
     for name, fn in sections:
         try:
             count = fn()
         except AssertionError as exc:
             results.append({"section": name, "ok": False, "detail": str(exc)})
-            print(f"FAIL  {name}: {exc}")
-            failed = True
+            lines.append(f"FAIL  {name}: {exc}")
         else:
             results.append({"section": name, "ok": True, "checks": count})
-            print(f"ok    {name} ({count} checks)")
-    print("selftest:", "FAIL" if failed else "PASS")
-    if args.json:
-        print(json.dumps({"sections": results, "passed": not failed}, indent=2))
+            lines.append(f"ok    {name} ({count} checks)")
+    failed = not all(r["ok"] for r in results)
+    lines.append(f"selftest: {'FAIL' if failed else 'PASS'}")
+    _emit(args, lines, {"sections": results, "passed": not failed})
     return EXIT_OBSTRUCTED if failed else EXIT_OK
 
 

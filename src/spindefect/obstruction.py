@@ -266,6 +266,11 @@ _CITATIONS = (
 )
 
 
+def _shape_json(x: FourManifoldShape, **extra) -> dict:
+    """A shape as JSON, {"b_plus", "b_minus", "sign"}, with any further keys."""
+    return {"b_plus": x.b_plus, "b_minus": x.b_minus, "sign": x.sign, **extra}
+
+
 def verdict_report(
     verdict: TenEighthsVerdict,
     *,
@@ -276,11 +281,7 @@ def verdict_report(
     """Uniform report structure shared by the CLI's verdict commands."""
     return {
         "input": dict(input),
-        "assembled_shape": {
-            "b_plus": assembled_shape.b_plus,
-            "b_minus": assembled_shape.b_minus,
-            "sign": assembled_shape.sign,
-        },
+        "assembled_shape": _shape_json(assembled_shape),
         "delta": delta,
         "ind": verdict.ind,
         "status": str(verdict.status),

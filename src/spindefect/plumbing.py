@@ -51,17 +51,18 @@ read is one call and every later read finds the stored value.
 The odd vertices are found from the distinct weights, so an all-even tree
 has none without a look at each vertex.
 
-A run is a stretch of at least three vertices of one weight w below the
-root, each but the lowest with one child, the next; the builders record
-each maximal run in an arm, and the even expansions a compiled tree is
-made of are mostly long runs of +-2.  An arm of one weight throughout is
-recognised as one run by ``list.count``, and only a mixed arm is grouped
-into runs in Python.  Both passes cross a run in one step.  The inertia
-pass does when the lowest vertex's effective weight has w's sign and
-absolute value at least 1 and |w| >= 2: every vertex above then has w's
-sign, and the top's effective weight is a product of the run's transfer
-matrix, in closed form for w = +-2.  The Wu pass does when w is even:
-the forms then repeat with period 2 up the run, two strided segments.
+A run is a stretch of at least three vertices below the root, all of
+weight 2 or all of weight -2, each but the lowest with one child, the
+next.  The builders record each maximal run in an arm and nothing else:
+the even expansions a compiled tree is made of are mostly long runs of
++-2, and repeat any other weight only a few times.  An arm of one weight
+throughout is recognised by ``list.count``; only a mixed arm is grouped
+in Python.  Both passes cross every recorded run in one step: the inertia
+pass when the lowest vertex's effective weight has the run's sign and
+absolute value at least 1, since every vertex above then has that sign
+and the top's effective weight is a closed-form product of the run's
+transfer matrices; the Wu pass always, as the forms repeat with period 2
+up the run, two strided segments.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ __all__ = [
 
 _KERNEL_CAP = 12  # refuse to enumerate GF(2) kernels of dimension above this
 _MIN_RUN = 3  # a run needs an interior vertex for a pass to step over
-_TO_THE_ROOT = ((0, None),)  # a pass's one stretch on a tree without runs
 
 
 @dataclass(frozen=True)
@@ -343,14 +343,14 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[tuple[int, slice]], set[tuple[int,
     as it is for any symmetric form.  Raises NoSolution past the enumeration
     cap, before any form is built.
 
-    A run of even weight (``g._runs``) is crossed in one step, because each
-    of its vertices has one child and its state follows from that child's.
-    Above an unpinned eff-1 bottom every vertex has eff 1, and back-
-    substitution alternates f, 1 + f down the run.  Otherwise pinned and
-    eff-0 vertices alternate up the run: the pinned ones read 0 and the
-    others all carry one form.  Either way the states of the top and the
-    vertex under it give the two forms, and the rest of the interior is
-    two strided segments.  Odd-weight runs are taken one vertex at a time.
+    Each run of +-2 (``g._runs``) is crossed in one step, because each of
+    its vertices has one child and an even weight, so its state follows
+    from that child's.  Above an unpinned eff-1 bottom every vertex has
+    eff 1, and back-substitution alternates f, 1 + f down the run.
+    Otherwise pinned and eff-0 vertices alternate up the run: the pinned
+    ones read 0 and the others all carry one form.  Either way the states
+    of the top and the vertex under it give the two forms, and the rest of
+    the interior is two strided segments.
     """
     _, weights, up = g._rooted
     n = len(weights)
@@ -359,10 +359,10 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[tuple[int, slice]], set[tuple[int,
     pin = [-1] * n  # a pinned vertex's first eff-0 child, the one its equation defines
     later = {}  # a pinned vertex's later eff-0 children, each a free variable
     free = []
-    even_runs = [(bottom, top) for bottom, top in g._runs.items() if not weights[bottom] & 1]
+    runs = g._runs
     stop = n
     # leaves first, run by run; the last stretch, (0, None), ends at the root
-    for bottom, top in [*reversed(even_runs), (0, None)] if even_runs else _TO_THE_ROOT:
+    for bottom, top in [*reversed(runs.items()), (0, None)]:
         for i in range(stop - 1, bottom - 1, -1):
             if pin[i] >= 0:
                 continue  # x_v = 0: nothing to fold into the parent
@@ -399,7 +399,7 @@ def _wu_forms(g: PlumbingGraph) -> tuple[list[tuple[int, slice]], set[tuple[int,
         x[i] = 2 << j
     segments, links, first = [], set(), 0
     # root first, so that x_parent is known before x_v, jumping run interiors
-    for end, bottom in [*((top + 1, bottom) for bottom, top in even_runs), (n - 1, None)]:
+    for end, bottom in [*((top + 1, bottom) for bottom, top in runs.items()), (n - 1, None)]:
         for i in range(first, end + 1):
             p = up[i]
             above = 0 if p < 0 else x[p]
@@ -495,18 +495,17 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
     own parent.  Any further zero child of that parent is then isolated and
     adds one to n_zero.
 
-    A run of weight w = +-2 (``g._runs``), whose vertices each have one
+    Each run of weight w = +-2 (``g._runs``), whose vertices each have one
     child, is crossed in one step when its bottom's effective weight a/b
     has the sign of w, with |a| >= |b|.  Then each vertex above has
     |w - 1/x| >= 1 and w's sign, so the m - 1 vertices strictly between
     bottom and top (m = bottom - top) all count with w's sign, and the
     top's (num, den) is (U_m a - U_{m-1} b, U_{m-1} a - U_{m-2} b), what m
     steps (num, den) -> (w num - den, num) reach (``_run_continuants``).
-    Every run of +-2 in a compiled arm passes that test: each tail of an
-    even expansion exceeds 1 in absolute value and has the sign of its
-    first entry.  A run that fails it is followed one vertex at a time, as
-    is a run of any other weight, whose continuants cost as many steps as
-    its vertices, and which a compiled arm holds only short (``_even_cf``).
+    Every run in a compiled arm passes that test: each tail of an even
+    expansion exceeds 1 in absolute value and has the sign of its first
+    entry.  A run that fails it, as one in a hand-built tree can, is
+    followed one vertex at a time.
     """
     _, weights, up = g._rooted
     n = len(weights)
@@ -517,7 +516,7 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
     runs = g._runs
     stop = n
     # leaves first, run by run; the last stretch, (0, None), ends at the root
-    for bottom, top in [*reversed(runs.items()), (0, None)] if runs else _TO_THE_ROOT:
+    for bottom, top in [*reversed(runs.items()), (0, None)]:
         for i in range(stop - 1, bottom - 1, -1):
             if zero_children[i]:
                 plus += 1
@@ -543,7 +542,7 @@ def _tree_inertia(g: PlumbingGraph) -> tuple[int, int, int]:
             break
         stop = bottom
         a, b, w = num[bottom], den[bottom], weights[bottom]
-        if w not in (2, -2) or zero_children[bottom] or not a:
+        if zero_children[bottom] or not a:
             continue
         if ((a > 0) == (b > 0)) != (w > 0) or abs(a) < abs(b):
             continue
@@ -667,12 +666,12 @@ def _tree(root, arms) -> PlumbingGraph:
     search, the ids as a ``range``, whose slices cost one step.  Graphs
     from outside come through ``PlumbingGraph.__init__`` instead.
 
-    Each maximal run of at least ``_MIN_RUN`` equal weights in an arm is
-    stored in ``_runs`` as {bottom position: top position}, so that the
-    passes can step over its interior: ``_wu_forms`` over a run of even
-    weight, ``_tree_inertia`` over a run of +-2.
-    An arm of one weight throughout, as most compiled arms are, is found to
-    be one run by ``list.count``; only a mixed arm is grouped.
+    Each maximal run of at least ``_MIN_RUN`` weights 2, or of weights -2,
+    in an arm is stored in ``_runs`` as {bottom position: top position},
+    and no other stretch is, so that both passes step over the interior of
+    every run stored.  An arm of one weight throughout, as most compiled
+    arms are, is found to be one run by ``list.count``; only a mixed arm is
+    grouped.
     """
     weights = list(root)
     up = [-1] * len(weights)
@@ -688,12 +687,13 @@ def _tree(root, arms) -> PlumbingGraph:
         if n < _MIN_RUN:
             continue
         if arm.count(arm[0]) == n:
-            runs[first + n - 1] = first
+            if arm[0] in (2, -2):
+                runs[first + n - 1] = first
             continue
         top = first
-        for _, same in itertools.groupby(arm):
+        for w, same in itertools.groupby(arm):
             bottom = top + len(list(same)) - 1
-            if bottom - top >= _MIN_RUN - 1:
+            if bottom - top >= _MIN_RUN - 1 and w in (2, -2):
                 runs[bottom] = top
             top = bottom + 1
     g = object.__new__(PlumbingGraph)

@@ -406,6 +406,17 @@ def test_selftest_passes(capsys):
     assert rc == 0
     assert out.splitlines()[-1] == "selftest: PASS"
     assert "sigma three-way" in out
+    # --json prints its report alone, so that stdout parses
+    rc, doc, _ = run_json(capsys, "selftest")
+    assert rc == 0
+    assert doc["passed"] is True
+    assert [(s["section"], s["ok"]) for s in doc["sections"]] == [
+        ("sigma three-way agreement", True),
+        ("catalog rows (table/engine/plumbing/antisymmetry)", True),
+        ("negative-definite resolutions", True),
+        ("ten-eighths applications", True),
+    ]
+    assert all(s["checks"] > 0 for s in doc["sections"])
 
 
 _README = Path(__file__).resolve().parent.parent / "README.md"

@@ -494,7 +494,7 @@ def test_blow_down_validation():
         blow_down(g, WuVector([1]), 1)  # not a Wu vector
 
 
-# --- runs of equal weights -------------------------------------------------------
+# --- runs of 2s and of -2s -------------------------------------------------------
 
 
 def _tree_inertia_by_vertex(g: PlumbingGraph) -> tuple[int, int, int]:
@@ -624,8 +624,9 @@ def _wu_solutions_by_sort(g: PlumbingGraph) -> list[WuVector]:
     return sorted(sols, key=lambda w: sorted(w.support))
 
 
-# even weights of both signs, which runs jump, among odd, zero and |w| < 2
-# ones, below which a run's bottom can fail the inertia step's test
+# 2 and -2, the weights of runs, among +-4 and odd weights, which the
+# passes walk vertex by vertex however long they repeat, and zero and
+# |w| < 2 ones, below which a run's bottom can fail the inertia step's test
 _RUN_WEIGHTS = st.sampled_from((-4, -2, -2, 2, 2, 4, -3, -1, 0, 0, 1, 3))
 
 
@@ -646,8 +647,9 @@ def run_trees(draw):
 
 
 def _runs_by_scan(g):
-    """{bottom: top} for every maximal run of at least three equal weights
-    below the root, in which each vertex but the bottom has one child."""
+    """{bottom: top} for every maximal run of at least three weights 2, or
+    of weights -2, below the root, in which each vertex but the bottom has
+    one child."""
     _, weights, up = g._rooted
     children = [[] for _ in weights]
     for i in range(1, len(weights)):
@@ -661,7 +663,7 @@ def _runs_by_scan(g):
         bottom = v
         while only[bottom] is not None and weights[only[bottom]] == weights[v]:
             bottom = only[bottom]
-        if bottom - v >= 2:
+        if bottom - v >= 2 and weights[v] in (2, -2):
             runs[bottom] = v
     return runs
 
@@ -734,11 +736,16 @@ def test_run_steps_at_the_edges():
     g = chain_graph([-2] * 5 + [-1, -3])
     assert g._runs == {4: 1}
     assert _tree_inertia(g) == (1, 6, 0) == signature(intersection_matrix(g))
-    # a 0 over a 3 turns the bottom's sign; an odd run; a run of +4s
-    for g in (chain_graph([-2] * 5 + [0, 3]), chain_graph([5, 3, 3, 3, 3, 1]),
-              star_graph(4, [[4] * 6, [-2, -2, -2, 0], [1]]),
+    # a 0 over a 3 turns the bottom's sign
+    for g in (chain_graph([-2] * 5 + [0, 3]),
               star_graph(0, [[-2] * 4 + [0] * 3, [2] * 3 + [1, 0]])):
         assert g._runs
+        _assert_run_steps_match(g)
+    # an odd stretch and an arm of +4s are no runs, and are walked vertex
+    # by vertex; the star's -2s below them are one
+    for g, runs in ((chain_graph([5, 3, 3, 3, 3, 1]), {}),
+                    (star_graph(4, [[4] * 6, [-2, -2, -2, 0], [1]]), {9: 7})):
+        assert g._runs == runs
         _assert_run_steps_match(g)
     # a one-armed star and a chain keep the root out of their runs
     assert star_graph(-2, [[-2, -2, -2]])._runs == chain_graph([-2] * 4)._runs == {3: 1}
@@ -770,6 +777,13 @@ def test_run_steps_on_compiled_trees():
                for case in iter_cases(k_span=3, n_max=14, b_max=14)]
     for g in graphs:
         _assert_run_steps_match(g)
+    # the smallest lens chain with three equal weights other than +-2 in a
+    # row records no run, and its 4s are walked vertex by vertex
+    g, w = seifert_to_plumbing(LensSpace(97, 41, 1))
+    assert g._rooted[1] == [2, 4, 4, 4]
+    assert g._runs == {}
+    _assert_run_steps_match(g)
+    assert plumbing_delta(g, w) == 4 == sigma(41, 97, 1)
 
 
 @pytest.mark.parametrize("n", [10**3, 10**5])
@@ -935,11 +949,13 @@ def test_compiled_trees_hold_python_ints(monkeypatch):
         assert all(type(w) is int for w in g._rooted[1])
     # the public builders turn numpy ints and booleans into ints
     bits = np.array([True, False, True, True, True])
-    for g in (chain_graph(np.array([-3, 2, 2, 2])), chain_graph(bits),
-              star_graph(np.int32(-2), [np.array([2, 2, 2]), bits]), parse_star("(-2; 2,2,2; 1)")):
+    # each tree but the bits chain, whose 1s are no run, has a run of 2s
+    for g, runs in ((chain_graph(np.array([-3, 2, 2, 2])), {3: 1}), (chain_graph(bits), {}),
+                    (star_graph(np.int32(-2), [np.array([2, 2, 2]), bits]), {3: 1}),
+                    (parse_star("(-2; 2,2,2; 1)"), {3: 1})):
         assert all(type(w) is int for w in g._rooted[1])
         assert all(type(i) is int for i in g._rooted[0])
-        assert g._runs
+        assert g._runs == runs
     # and refuse what int() refuses, with its error
     for build, error, message in (
         (lambda: chain_graph(["a"]), ValueError, "invalid literal for int() with base 10: 'a'"),

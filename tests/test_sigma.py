@@ -1,11 +1,12 @@
 import importlib
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spindefect.errors import NoSpinForm, PrecisionError
@@ -262,13 +263,32 @@ def _thirty_digit_pairs(draw):
     return draw(st.sampled_from((p, -p))), draw(st.sampled_from((q, -q)))
 
 
+def _refused_run(exc):
+    """The length of the run that a "too many to list" ValueError names."""
+    found = re.fullmatch(r"the even expansion has a run of (\d+) entries -?2, too many to list",
+                         str(exc))
+    assert found, exc
+    return int(found[1])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_thirty_digit_pairs())
+@example((199899999999994370500465786882, 99899999999994370500465786881))  # 17,763,567 twos
+@example((1000000003721565008163452148436, 3721565008163452148437))  # 27,755,575 twos
 def test_expansion_matches_the_per_entry_loop_on_thirty_digit_pairs(pq):
-    entries = _assert_expansion(*pq)
-    assert cf_eval(entries) == _fraction_fold(entries)
-    # sigma's counted sign sum against one sgn call per listed entry
     p, q = pq
+    try:
+        entries = even_cf_expand(p, q)
+    except ValueError as exc:
+        # a run too long to list: sigma refuses the same run, whose entry
+        # may differ in sign only, since sigma reduces to positive p and q
+        with pytest.raises(ValueError) as refusal:
+            sigma(q, p, -1)
+        assert _refused_run(refusal.value) == _refused_run(exc)
+        return
+    assert entries == _expand_per_entry(p, q), (p, q)
+    assert cf_eval(entries) == Fraction(p, q) == _fraction_fold(entries)
+    # sigma's counted sign sum against one sgn call per listed entry
     assert sigma(q, p, -1) == -sum(sgn(a) for a in entries)
 
 
